@@ -5,8 +5,7 @@ pressure/velocity relaxation procedures."""
 
 from .config import PRESETS, RunConfig, parse_config, preset_config
 from .eos import EosParams, de_dp, de_drho, internal_energy, pressure_from_energy, sound_speed
-from .errors import (ConfigError, ConvergenceError, DemflowError,
-                     InvalidStateError, SolverError)
+from .errors import ConfigError, DemflowError, InvalidStateError, SolverError
 from .probability import (AlphaPair, ProbabilityQuad, check_consistency,
                           convex_quad, disperse_pair, extract_r, stratified_pair)
 from .regime import (ConstantRegime, PiecewiseRegime, RegimeField,

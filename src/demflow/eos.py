@@ -62,7 +62,7 @@ def sound_speed(rho, p, eos):
 
 
 def de_drho(rho, p, eos):
-    """d e(rho, p) / d rho at fixed p. Feeds the relaxation Newton Jacobian."""
+    """d e(rho, p) / d rho at fixed p."""
     if np.any(np.asarray(rho) <= 0.0):
         raise InvalidStateError("non-positive density")
     return -(p + eos.gamma * eos.pi_inf) / ((eos.gamma - 1.0) * rho**2)

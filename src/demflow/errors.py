@@ -13,10 +13,6 @@ class SolverError(DemflowError):
     """A Riemann solver or the time loop broke down."""
 
 
-class ConvergenceError(DemflowError):
-    """An iterative solver failed to converge."""
-
-
 class ConfigError(DemflowError):
     """A run configuration is malformed or inconsistent."""
 

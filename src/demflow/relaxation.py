@@ -1,11 +1,11 @@
 """Infinite-drag pressure/velocity equilibration per cell.
 
 Two strategies produce a cell on the equilibrium variety (common velocity and
-pressure): relax_continuous solves the coupled density/pressure system with a
-damped Newton iteration and conserves per-phase mass exactly, mixture momentum
-exactly and mixture energy to solver tolerance; relax_projection applies the
-kernel-projection matrix of the linearized source, a one-shot update accurate
-to second order in the pre-relaxation disequilibrium.
+pressure): relax_continuous takes the closed-form root of the stiffened-gas
+saturation quadratic in the common pressure and conserves per-phase mass and
+mixture momentum exactly and mixture energy to round-off; relax_projection
+applies the kernel-projection matrix of the linearized source, a one-shot
+update accurate to second order in the pre-relaxation disequilibrium.
 
 All operations accept cells holding scalars or arrays (whole grids at once).
 """
@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eos import EosParams, de_dp, de_drho, internal_energy, sound_speed
-from .errors import ConvergenceError, InvalidStateError
-from .state import (MixtureCell, PhaseCellState, Primitive, cons_to_prim,
-                    prim_to_cons)
+from .eos import EosParams, internal_energy, sound_speed
+from .errors import InvalidStateError
+from .state import (MixtureCell, PhaseCellState, Primitive, _first_bad_index,
+                    cons_to_prim, prim_to_cons)
 
 
 @dataclass(frozen=True)
@@ -76,102 +76,59 @@ def _restore_shape(value, like):
     return value.reshape(np.shape(like)) if np.ndim(like) else float(value[0])
 
 
-def relax_continuous(cell: MixtureCell, eos1: EosParams, eos2: EosParams,
-                     tol=1e-10, max_iter=100) -> MixtureCell:
+def _require_both_phases(a1, a2):
+    for label, a in (("1", a1), ("2", a2)):
+        idx = _first_bad_index(~((a > 0.0) & (a < 1.0)))
+        if idx is not None:
+            raise InvalidStateError(
+                "relaxation requires both phases present (0 < alpha < 1): "
+                f"phase {label} has alpha = {a.flat[idx]:.9g} at cell {idx}")
+
+
+def relax_continuous(cell: MixtureCell, eos1: EosParams, eos2: EosParams) -> MixtureCell:
     """Equilibrate to common velocity and pressure via the continuous-limit
     relaxation system.
 
-    The mixture velocity is the exact mass-weighted mean. Densities and the
-    common pressure solve the per-phase energy relations (with interfacial
-    pressure/velocity approximated by their relaxed values) plus the
-    saturation constraint, via damped Newton iteration. Per-phase alpha*rho
-    is preserved exactly by construction.
+    The mixture velocity is the exact mass-weighted mean. With interfacial
+    pressure/velocity approximated by their relaxed values, each stiffened-gas
+    energy relation gives rho_k = rho_k0 gamma_k (p + pi_k) / ((gamma_k - 1)
+    (E_k + p)), E_k = rho_k0 (e_k0 + (u* - u_k)^2 / 2), so saturation
+    m1/rho1 + m2/rho2 = 1 is a quadratic in p (Saurel, Petitpas & Berry,
+    J. Comput. Phys. 228, 2009). On p > -min(pi_1, pi_2) its left side falls
+    strictly from +inf to below 1, so the admissible root is unique: the
+    larger root, taken in cancellation-safe form. Per-phase alpha*rho and
+    mixture momentum are preserved exactly, mixture energy to round-off.
     """
     a1, a2, rho10, u1, p1, rho20, u2, p2 = _phase_arrays(cell, eos1, eos2)
     shape_like = cell.phase1.alpha
-    if np.any(a1 <= 0.0) or np.any(a1 >= 1.0) or np.any(a2 <= 0.0) or np.any(a2 >= 1.0):
-        raise InvalidStateError("relaxation requires both phases present (0 < alpha < 1)")
+    _require_both_phases(a1, a2)
 
     m1 = a1 * rho10
     m2 = a2 * rho20
     u_star = (m1 * u1 + m2 * u2) / (m1 + m2)
-    du1sq = (u_star - u1) ** 2
-    du2sq = (u_star - u2) ** 2
-    e10 = internal_energy(rho10, p1, eos1)
-    e20 = internal_energy(rho20, p2, eos2)
-    z1 = rho10 * sound_speed(rho10, p1, eos1)
-    z2 = rho20 * sound_speed(rho20, p2, eos2)
-    p_guess = (z1 * p2 + z2 * p1) / (z1 + z2)
-    pscale = np.maximum.reduce([np.abs(p_guess), p1 + eos1.pi_inf, p2 + eos2.pi_inf])
+    E1 = rho10 * (internal_energy(rho10, p1, eos1) + 0.5 * (u_star - u1) ** 2)
+    E2 = rho20 * (internal_energy(rho20, p2, eos2) + 0.5 * (u_star - u2) ** 2)
+    g1, pi1 = eos1.gamma, eos1.pi_inf
+    g2, pi2 = eos2.gamma, eos2.pi_inf
+    c1 = a1 * (g1 - 1.0) / g1
+    c2 = a2 * (g2 - 1.0) / g2
 
-    r1 = rho10.copy()
-    r2 = rho20.copy()
-    p = p_guess.copy()
-    active = np.ones(r1.shape, dtype=bool)
-
-    def residuals(r1, r2, p):
-        f1 = (2.0 * r1 * rho10 * (internal_energy(r1, p, eos1) - e10)
-              - r1 * rho10 * du1sq - 2.0 * p * (r1 - rho10))
-        f2 = (2.0 * r2 * rho20 * (internal_energy(r2, p, eos2) - e20)
-              - r2 * rho20 * du2sq - 2.0 * p * (r2 - rho20))
-        f3 = m1 / r1 + m2 / r2 - 1.0
-        return f1, f2, f3
-
-    converged = False
-    for _ in range(max_iter):
-        f1, f2, f3 = residuals(r1, r2, p)
-        A1 = (2.0 * rho10 * (internal_energy(r1, p, eos1) - e10)
-              + 2.0 * r1 * rho10 * de_drho(r1, p, eos1) - rho10 * du1sq - 2.0 * p)
-        A2 = (2.0 * rho20 * (internal_energy(r2, p, eos2) - e20)
-              + 2.0 * r2 * rho20 * de_drho(r2, p, eos2) - rho20 * du2sq - 2.0 * p)
-        B1 = 2.0 * r1 * rho10 * de_dp(r1, p, eos1) - 2.0 * (r1 - rho10)
-        B2 = 2.0 * r2 * rho20 * de_dp(r2, p, eos2) - 2.0 * (r2 - rho20)
-        C1 = -m1 / r1**2
-        C2 = -m2 / r2**2
-        denom = C1 * B1 / A1 + C2 * B2 / A2
-        if np.any(active & ((A1 == 0.0) | (A2 == 0.0) | (denom == 0.0)
-                            | ~np.isfinite(denom))):
-            raise ConvergenceError("singular Jacobian in relaxation Newton solve")
-        dp = (f3 - C1 * f1 / A1 - C2 * f2 / A2) / denom
-        dr1 = -(f1 + B1 * dp) / A1
-        dr2 = -(f2 + B2 * dp) / A2
-
-        # damp per cell until the trial state stays admissible
-        step = np.ones_like(r1)
-        for _ in range(30):
-            r1_try = r1 + step * dr1
-            r2_try = r2 + step * dr2
-            p_try = p + step * dp
-            bad = active & ((r1_try <= 0.0) | (r2_try <= 0.0)
-                            | (p_try + eos1.pi_inf <= 0.0)
-                            | (p_try + eos2.pi_inf <= 0.0))
-            if not bad.any():
-                break
-            step = np.where(bad, 0.5 * step, step)
-        else:
-            raise ConvergenceError("relaxation Newton left the admissible region")
-        r1 = np.where(active, r1_try, r1)
-        r2 = np.where(active, r2_try, r2)
-        p = np.where(active, p_try, p)
-
-        increment = np.maximum.reduce([
-            np.abs(step * dr1) / rho10,
-            np.abs(step * dr2) / rho20,
-            np.abs(step * dp) / pscale,
-        ])
-        # residuals mapped to pressure units; saturation must reach the state
-        # invariant tolerance, tighter than the generic stop criterion
-        res_ok = ((np.abs(f1) * (eos1.gamma - 1.0) / (2.0 * rho10) <= tol * pscale)
-                  & (np.abs(f2) * (eos2.gamma - 1.0) / (2.0 * rho20) <= tol * pscale)
-                  & (np.abs(f3) <= 1e-12))
-        active &= ~((increment <= tol) & res_ok)
-        if not active.any():
-            converged = True
-            break
-    if not converged:
-        raise ConvergenceError(
-            f"relaxation Newton did not converge in {max_iter} iterations "
-            f"({int(np.count_nonzero(active))} cells remaining)")
+    # c1 (E1 + p)/(p + pi1) + c2 (E2 + p)/(p + pi2) = 1 times (p + pi1)(p + pi2)
+    qa = 1.0 - c1 - c2
+    qb = pi1 + pi2 - c1 * (E1 + pi2) - c2 * (E2 + pi1)
+    qc = pi1 * pi2 - c1 * E1 * pi2 - c2 * E2 * pi1
+    disc = qb * qb - 4.0 * qa * qc
+    idx = _first_bad_index(~(np.isfinite(disc) & (disc >= 0.0)))
+    if idx is not None:
+        state = ", ".join(f"{f[idx]:.9g}" for f in (a1, rho10, u1, p1, a2, rho20, u2, p2))
+        raise InvalidStateError(
+            f"relaxation pressure quadratic has discriminant {disc[idx]:.9g} at cell "
+            f"{idx}; (alpha1, rho1, u1, p1, alpha2, rho2, u2, p2) = ({state})")
+    # the larger root, without cancellation between qb and sqrt(disc)
+    q = -0.5 * (qb + np.where(qb < 0.0, -1.0, 1.0) * np.sqrt(disc))
+    p = np.where(qb < 0.0, q / qa, qc / q)
+    r1 = rho10 * g1 * (p + pi1) / ((g1 - 1.0) * (E1 + p))
+    r2 = rho20 * g2 * (p + pi2) / ((g2 - 1.0) * (E2 + p))
 
     red = ReducedEquilibrium(
         alpha1=_restore_shape(m1 / r1, shape_like),
@@ -189,8 +146,7 @@ def relax_projection(cell: MixtureCell, eos1: EosParams, eos2: EosParams) -> Mix
     relaxation source, built from the pre-relaxation state."""
     a1, a2, rho1, u1, p1, rho2, u2, p2 = _phase_arrays(cell, eos1, eos2)
     shape_like = cell.phase1.alpha
-    if np.any(a1 <= 0.0) or np.any(a1 >= 1.0) or np.any(a2 <= 0.0) or np.any(a2 >= 1.0):
-        raise InvalidStateError("relaxation requires both phases present (0 < alpha < 1)")
+    _require_both_phases(a1, a2)
     c1sq = sound_speed(rho1, p1, eos1) ** 2
     c2sq = sound_speed(rho2, p2, eos2) ** 2
     d = a1 * rho2 * c2sq + a2 * rho1 * c1sq

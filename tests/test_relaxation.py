@@ -118,25 +118,34 @@ def test_relax_continuous_velocity_symmetry():
 
 
 def test_relax_continuous_postconditions_on_random_cells():
-    cell = random_cells(500, seed=1)
-    pre_m1 = cell.phase1.alpha * cons_to_prim(cell.phase1.cons, GAS).rho
-    pre_m2 = cell.phase2.alpha * cons_to_prim(cell.phase2.cons, LIQUID).rho
-    pre_mom = mixture_momentum(cell)
-    pre_E = mixture_energy(cell)
-    out = relax_continuous(cell, GAS, LIQUID)
-    a1, v1, a2, v2 = phase_fields(out)
-    # equilibrium variety: one assigned u and p; reconstruction from conserved
-    # storage leaves at most a few ulps between the phases
-    assert np.max(np.abs(v1.u - v2.u)) <= 4 * np.finfo(float).eps * np.max(np.abs(v1.u))
-    assert np.max(np.abs(v1.p - v2.p) / np.maximum(v1.p, v2.p)) < 1e-9
-    # saturation restored to state tolerance
-    assert np.max(np.abs(a1 + a2 - 1.0)) < 1e-12
-    # conservation: per-phase mass, mixture momentum, mixture energy
-    assert np.max(np.abs(a1 * v1.rho - pre_m1) / pre_m1) < 1e-12
-    assert np.max(np.abs(a2 * v2.rho - pre_m2) / pre_m2) < 1e-12
-    mom_scale = np.abs(pre_mom) + (pre_m1 + pre_m2) * 1.0
-    assert np.max(np.abs(mixture_momentum(out) - pre_mom) / mom_scale) < 1e-13
-    assert np.max(np.abs(mixture_energy(out) - pre_E) / pre_E) < 1e-9
+    # wide disequilibrium: near-pure fractions, pressures up to 1e9 Pa with the
+    # liquid in tension down to -3e8 Pa, |u1 - u2| up to 600 m/s
+    rng = np.random.default_rng(6)
+    n = 500
+    wide = make_cell(rng.uniform(0.01, 0.99, n),
+                     Primitive(rho=rng.uniform(0.5, 100.0, n), u=rng.uniform(-300.0, 300.0, n),
+                               p=10.0 ** rng.uniform(4.0, 9.0, n)),
+                     Primitive(rho=rng.uniform(500.0, 1500.0, n), u=rng.uniform(-300.0, 300.0, n),
+                               p=rng.uniform(-3e8, 1e9, n)))
+    for cell in (random_cells(500, seed=1), wide):
+        pre_m1 = cell.phase1.alpha * cons_to_prim(cell.phase1.cons, GAS).rho
+        pre_m2 = cell.phase2.alpha * cons_to_prim(cell.phase2.cons, LIQUID).rho
+        pre_mom = mixture_momentum(cell)
+        pre_E = mixture_energy(cell)
+        out = relax_continuous(cell, GAS, LIQUID)
+        a1, v1, a2, v2 = phase_fields(out)
+        # equilibrium variety: one assigned u and p; reconstruction from conserved
+        # storage leaves at most a few ulps between the phases
+        assert np.max(np.abs(v1.u - v2.u)) <= 4 * np.finfo(float).eps * np.max(np.abs(v1.u))
+        assert np.max(np.abs(v1.p - v2.p) / np.maximum(v1.p, v2.p)) < 1e-9
+        # saturation restored to state tolerance
+        assert np.max(np.abs(a1 + a2 - 1.0)) < 1e-12
+        # conservation: per-phase mass, mixture momentum, mixture energy
+        assert np.max(np.abs(a1 * v1.rho - pre_m1) / pre_m1) < 1e-12
+        assert np.max(np.abs(a2 * v2.rho - pre_m2) / pre_m2) < 1e-12
+        mom_scale = np.abs(pre_mom) + (pre_m1 + pre_m2) * 1.0
+        assert np.max(np.abs(mixture_momentum(out) - pre_mom) / mom_scale) < 1e-13
+        assert np.max(np.abs(mixture_energy(out) - pre_E) / pre_E) < 1e-12
 
 
 def test_relax_continuous_idempotent():
@@ -157,6 +166,24 @@ def test_relax_continuous_requires_both_phases():
         phase2=PhaseCellState(alpha=1.0, cons=prim_to_cons(Primitive(1000.0, 0.0, 1e5), LIQUID)),
     )
     with pytest.raises(InvalidStateError):
+        relax_continuous(cell, GAS, LIQUID)
+
+
+def test_relaxation_errors_name_cell_and_phase():
+    a1 = np.full(6, 0.4)
+    a1[3] = 0.0
+    cell = make_cell(a1, Primitive(np.full(6, 30.0), np.zeros(6), np.full(6, 3e6)),
+                     Primitive(np.full(6, 900.0), np.zeros(6), np.full(6, 3e6)))
+    for relax in (relax_continuous, relax_projection):
+        with pytest.raises(InvalidStateError, match=r"phase 1 .* at cell 3"):
+            relax(cell, GAS, LIQUID)
+    # a gas energy so large that the pressure quadratic's discriminant overflows
+    p1 = np.full(6, 3e6)
+    p1[2] = 1e300
+    cell = make_cell(np.full(6, 0.4), Primitive(np.full(6, 30.0), np.zeros(6), p1),
+                     Primitive(np.full(6, 900.0), np.zeros(6), np.full(6, 3e6)))
+    with np.errstate(over="ignore"), pytest.raises(
+            InvalidStateError, match=r"discriminant inf at cell 2; .* = \(0\.4, 30, 0, 1e\+300, 0\.6,"):
         relax_continuous(cell, GAS, LIQUID)
 
 

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from demflow.config import preset_config
 from demflow.eos import EosParams
 from demflow.errors import InvalidStateError, SolverError
 from demflow.probability import AlphaPair, convex_quad
 from demflow.regime import ConstantRegime, init_field
 from demflow.riemann import hllc, lagrangian_flux
 from demflow.scheme import (Grid1D, apply_bc, beta, cfl_dt, hyperbolic_step,
-                            interface_fluxes, ensemble_flux)
+                            interface_fluxes, ensemble_flux, run)
 from demflow.state import (MixtureCell, PhaseCellState, Primitive,
                            cons_to_prim, prim_to_cons)
 
@@ -413,3 +414,24 @@ def test_step_reports_invalid_states_with_cell_index():
     huge_dt = 1e4 * cfl_dt(grid, 0.9, GAS, LIQUID)
     with pytest.raises(InvalidStateError, match="cell"):
         hyperbolic_step(grid, field, huge_dt, GAS, LIQUID)
+
+
+# admissible runs whose relaxed states exist but are far from the
+# pre-relaxation ones: strong expansion with the water driven into tension,
+# and a pressure disequilibrium of four decades inside one cell
+@pytest.mark.parametrize("name, overrides", [
+    ("t4_cavitation", ["left_u1=-300", "left_u2=-300", "right_u1=300",
+                       "right_u2=300", "n_cells=40", "t_end=2e-4"]),
+    ("t1_uniform_vf", ["left_p1=1e5", "left_p2=1e9", "relaxation=continuous",
+                       "n_cells=100", "t_end=2e-5"]),
+], ids=["t4_strong_expansion", "t1_pressure_disequilibrium"])
+def test_continuous_relaxation_completes_admissible_runs(name, overrides):
+    cfg = preset_config(name, overrides)
+    grid = run(cfg)[-1].grid
+    a1 = np.asarray(grid.cells.phase1.alpha)
+    a2 = np.asarray(grid.cells.phase2.alpha)
+    assert np.max(np.abs(a1 + a2 - 1.0)) <= 1e-12
+    v1 = cons_to_prim(grid.cells.phase1.cons, cfg.eos1)
+    v2 = cons_to_prim(grid.cells.phase2.cons, cfg.eos2)
+    assert np.max(np.abs(v1.u - v2.u) / (np.abs(v1.u) + 1.0)) < 1e-12
+    assert np.max(np.abs(v1.p - v2.p) / (np.abs(v1.p) + cfg.eos2.pi_inf)) < 1e-12
