@@ -16,7 +16,7 @@ from .relaxation import (ReducedEquilibrium, maxwellian, projection_matrix,
 from .riemann import (AcousticInterface, ExactRiemannSolution, RiemannFan,
                       exact_rp, hllc, interfacial_decomposition, lagrangian_flux,
                       physical_flux)
-from .scheme import (Grid1D, InterfaceFluxSet, Snapshot, apply_bc, beta,
+from .scheme import (Grid1D, InterfaceFluxSet, Snapshot, beta,
                      boundary_lagrangian, cfl_dt, ensemble_flux,
                      hyperbolic_step, initial_grid, interface_fluxes, run,
                      volume_fraction_rhs)

@@ -150,9 +150,7 @@ def _cmd_sweep(args):
         cfg = replace(config, regime_policy=ConstantRegime(value))
         snapshots = run(cfg)
         path = base.with_name(f"{base.stem}_r{value:g}{base.suffix or '.csv'}")
-        meta = snapshot_meta(cfg, snapshots[-1].t)
-        write_snapshot(path, snapshots[-1].grid, snapshots[-1].t,
-                       snapshots[-1].regime_values, meta, cfg.eos1, cfg.eos2)
+        _write_all(cfg, snapshots[-1:], path)
         print(f"wrote {path} (r = {value:g})")
     return 0
 

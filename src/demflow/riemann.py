@@ -13,7 +13,7 @@ import numpy as np
 
 from .eos import EosParams, internal_energy, sound_speed
 from .errors import InvalidStateError, SolverError
-from .state import Conserved, Primitive
+from .state import Primitive
 
 
 def physical_flux(v: Primitive, eos: EosParams):
@@ -30,13 +30,12 @@ def physical_flux(v: Primitive, eos: EosParams):
 
 @dataclass(frozen=True)
 class RiemannFan:
-    """Solved Riemann fan: flux and Godunov state sampled at x/t = 0, contact
-    speed sigma, star pressure, and outer wave speed estimates."""
+    """Solved Riemann fan: flux sampled at x/t = 0, contact speed sigma, star
+    pressure, and outer wave speed estimates."""
 
     flux0: np.ndarray
     sigma: float | np.ndarray
     p_star: float | np.ndarray
-    u_star0: Conserved
     s_left: float | np.ndarray
     s_right: float | np.ndarray
 
@@ -94,14 +93,10 @@ def hllc(left: Primitive, right: Primitive, eos_left: EosParams,
     flux0 = np.where(s_l >= 0.0, F_l,
                      np.where(sigma >= 0.0, F_star_l,
                               np.where(s_r >= 0.0, F_star_r, F_r)))
-    state0 = np.where(s_l >= 0.0, U_l,
-                      np.where(sigma >= 0.0, U_star_l,
-                               np.where(s_r >= 0.0, U_star_r, U_r)))
     return RiemannFan(
         flux0=flux0,
         sigma=sigma,
         p_star=p_star,
-        u_star0=Conserved(mass=state0[0], momentum=state0[1], energy=state0[2]),
         s_left=s_l,
         s_right=s_r,
     )
@@ -255,8 +250,6 @@ class ExactRiemannSolution:
             u=np.where(on_left, u_l, -u_rm),
             p=np.where(on_left, p_l, p_r),
         )
-
-    sample = __call__
 
 
 def _two_rarefaction_guess(sl: _Side, sr: _Side, du):

@@ -69,15 +69,33 @@ class InterfaceFluxSet:
     beta_21: np.ndarray
 
 
-def interface_fluxes(v1_left, v1_right, v2_left, v2_right,
-                     alpha1_left, alpha1_right, r, eos1, eos2) -> InterfaceFluxSet:
-    """Solve the four Riemann problems of one interface (arrays solve a whole
-    row of interfaces at once) and attach the probability coefficients."""
+def interface_fluxes(grid: Grid1D, regime: RegimeField, eos1, eos2) -> InterfaceFluxSet:
+    """Solve the four phase-pairing Riemann problems at all n + 1 interfaces
+    of the grid and attach the probability coefficients.
+
+    Primitives are recovered once per phase on the n cells. Interface i sits
+    between cells i - 1 and i; the two outer interfaces see a copy of their
+    edge cell (transmissive boundary)."""
+    if np.shape(regime.values) != (grid.n_cells + 1,):
+        raise SolverError("regime field does not match the grid's interfaces")
+
+    def sides(x):
+        ext = np.concatenate([x[:1], x, x[-1:]])
+        return ext[:-1], ext[1:]
+
+    def primitive_sides(phase, eos):
+        v = cons_to_prim(phase.cons, eos)
+        rho, u, p = sides(v.rho), sides(v.u), sides(v.p)
+        return Primitive(rho[0], u[0], p[0]), Primitive(rho[1], u[1], p[1])
+
+    v1_left, v1_right = primitive_sides(grid.cells.phase1, eos1)
+    v2_left, v2_right = primitive_sides(grid.cells.phase2, eos2)
+    alpha1_left, alpha1_right = sides(np.asarray(grid.cells.phase1.alpha, dtype=float))
     fan_11 = hllc(v1_left, v1_right, eos1, eos1)
     fan_12 = hllc(v1_left, v2_right, eos1, eos2)
     fan_21 = hllc(v2_left, v1_right, eos2, eos1)
     fan_22 = hllc(v2_left, v2_right, eos2, eos2)
-    quad = convex_quad(AlphaPair(alpha1_left, alpha1_right), r)
+    quad = convex_quad(AlphaPair(alpha1_left, alpha1_right), regime.values)
     return InterfaceFluxSet(fan_11, fan_12, fan_21, fan_22, quad,
                             beta(fan_12.sigma), beta(fan_21.sigma))
 
@@ -142,28 +160,6 @@ def cfl_dt(grid: Grid1D, cfl, eos1, eos2) -> float:
     return float(cfl) * grid.dx / fastest
 
 
-def apply_bc(grid: Grid1D) -> Grid1D:
-    """Extend the grid with two transmissive (zero-gradient) ghost cells per
-    side."""
-    def pad(arr):
-        arr = np.asarray(arr, dtype=float)
-        return np.concatenate([arr[:1], arr[:1], arr, arr[-1:], arr[-1:]])
-
-    def pad_phase(phase):
-        return PhaseCellState(
-            alpha=pad(phase.alpha),
-            cons=Conserved(pad(phase.cons.mass), pad(phase.cons.momentum),
-                           pad(phase.cons.energy)),
-        )
-
-    return Grid1D(
-        x_min=grid.x_min - 2.0 * grid.dx,
-        x_max=grid.x_max + 2.0 * grid.dx,
-        n_cells=grid.n_cells + 4,
-        cells=MixtureCell(pad_phase(grid.cells.phase1), pad_phase(grid.cells.phase2)),
-    )
-
-
 def hyperbolic_step(grid: Grid1D, regime: RegimeField, dt, eos1, eos2) -> Grid1D:
     """One forward-Euler update of alpha*U and alpha for both phases.
 
@@ -171,23 +167,7 @@ def hyperbolic_step(grid: Grid1D, regime: RegimeField, dt, eos1, eos2) -> Grid1D
     interface's r; cell updates read only precomputed interface data, summed
     in a fixed order, so the result is independent of any parallel split.
     """
-    n = grid.n_cells
-    if np.shape(regime.values) != (n + 1,):
-        raise SolverError("regime field does not match the grid's interfaces")
-    ext = apply_bc(grid)
-    a1_ext = np.asarray(ext.cells.phase1.alpha, dtype=float)
-    v1_ext = cons_to_prim(ext.cells.phase1.cons, eos1)
-    v2_ext = cons_to_prim(ext.cells.phase2.cons, eos2)
-
-    lft = slice(1, n + 2)
-    rgt = slice(2, n + 3)
-
-    def window(v, s):
-        return Primitive(v.rho[s], v.u[s], v.p[s])
-
-    ifs = interface_fluxes(window(v1_ext, lft), window(v1_ext, rgt),
-                           window(v2_ext, lft), window(v2_ext, rgt),
-                           a1_ext[lft], a1_ext[rgt], regime.values, eos1, eos2)
+    ifs = interface_fluxes(grid, regime, eos1, eos2)
     e1, e2 = ensemble_flux(ifs)
     l1, l2 = boundary_lagrangian(ifs)
     w1, w2 = volume_fraction_rhs(ifs)

@@ -73,15 +73,20 @@ def prim_to_cons(v: Primitive, eos: EosParams) -> Conserved:
 
 
 def cons_to_prim(c: Conserved, eos: EosParams) -> Primitive:
-    """Invert prim_to_cons; rejects states with non-positive density or
-    inadmissible reconstructed pressure."""
-    if np.any(np.asarray(c.mass) <= 0.0):
-        raise InvalidStateError("conserved state has non-positive density")
+    """Invert prim_to_cons; rejects non-positive or non-finite density and
+    inadmissible or non-finite reconstructed pressure, naming the first
+    offending cell."""
+    idx = _first_bad_index(~(np.isfinite(c.mass) & (np.asarray(c.mass) > 0.0)))
+    if idx is not None:
+        raise InvalidStateError(
+            f"conserved state has non-positive or non-finite density at cell {idx}")
     u = c.momentum / c.mass
     e = c.energy / c.mass - 0.5 * u**2
     p = pressure_from_energy(c.mass, e, eos)
-    if np.any(np.asarray(p) + eos.pi_inf <= 0.0):
-        raise InvalidStateError("conserved state maps to inadmissible pressure")
+    idx = _first_bad_index(~(np.isfinite(p) & (np.asarray(p) + eos.pi_inf > 0.0)))
+    if idx is not None:
+        raise InvalidStateError(
+            f"conserved state maps to inadmissible pressure at cell {idx}")
     return Primitive(rho=c.mass, u=u, p=p)
 
 
@@ -118,18 +123,7 @@ def validate_mixture(cell: MixtureCell, eos1: EosParams, eos2: EosParams, contex
     if idx is not None:
         raise InvalidStateError(f"saturation violated at cell {idx}{where}")
     for label, phase, eos in (("1", cell.phase1, eos1), ("2", cell.phase2, eos2)):
-        c = phase.cons
-        mass = np.asarray(c.mass, dtype=float)
-        idx = _first_bad_index((mass <= 0.0) | ~np.isfinite(mass))
-        if idx is not None:
-            raise InvalidStateError(
-                f"phase {label} has non-positive density at cell {idx}{where}"
-            )
-        u = c.momentum / mass
-        e = c.energy / mass - 0.5 * u**2
-        p = pressure_from_energy(mass, e, eos)
-        idx = _first_bad_index((np.asarray(p) + eos.pi_inf <= 0.0) | ~np.isfinite(np.asarray(p)))
-        if idx is not None:
-            raise InvalidStateError(
-                f"phase {label} has inadmissible pressure at cell {idx}{where}"
-            )
+        try:
+            cons_to_prim(phase.cons, eos)
+        except InvalidStateError as exc:
+            raise InvalidStateError(f"phase {label}: {exc}{where}") from None

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,9 @@ from demflow.errors import InvalidStateError, SolverError
 from demflow.probability import AlphaPair, convex_quad
 from demflow.regime import ConstantRegime, init_field
 from demflow.riemann import hllc, lagrangian_flux
-from demflow.scheme import (Grid1D, apply_bc, beta, cfl_dt, hyperbolic_step,
+from demflow.scheme import (Grid1D, beta, cfl_dt, hyperbolic_step,
                             interface_fluxes, ensemble_flux, run)
-from demflow.state import (MixtureCell, PhaseCellState, Primitive,
+from demflow.state import (Conserved, MixtureCell, PhaseCellState, Primitive,
                            cons_to_prim, prim_to_cons)
 
 GAS = EosParams(1.4, 0.0)
@@ -271,22 +273,44 @@ def test_update_affine_in_r_and_sandwiched():
             assert np.all(mid <= np.maximum(lo, hi) + slack)
 
 
+def mirror(grid):
+    """Reflect x -> -x: reverse the cells and negate the momenta."""
+    def phase(ph):
+        c = ph.cons
+        return PhaseCellState(alpha=np.asarray(ph.alpha)[::-1],
+                              cons=Conserved(np.asarray(c.mass)[::-1],
+                                             -np.asarray(c.momentum)[::-1],
+                                             np.asarray(c.energy)[::-1]))
+    return Grid1D(grid.x_min, grid.x_max, grid.n_cells,
+                  MixtureCell(phase(grid.cells.phase1), phase(grid.cells.phase2)))
+
+
+def test_one_step_mirror_symmetry_with_random_r():
+    # both outer interfaces are treated alike: stepping the reflected grid
+    # (reversed per-interface r) and reflecting back reproduces the step
+    worst = 0.0
+    for seed in range(40):
+        grid = random_grid(16, seed=100 + seed)
+        r = np.random.default_rng(seed).uniform(0.0, 1.0, grid.n_cells + 1)
+        field = replace(constant_field(grid, 0.0), values=r)
+        dt = 0.9 * cfl_dt(grid, 0.9, GAS, LIQUID)
+        direct = hyperbolic_step(grid, field, dt, GAS, LIQUID)
+        mirrored = mirror(hyperbolic_step(mirror(grid), replace(field, values=r[::-1]),
+                                          dt, GAS, LIQUID))
+        for a, b in ((direct.cells.phase1, mirrored.cells.phase1),
+                     (direct.cells.phase2, mirrored.cells.phase2)):
+            for x, y in zip((a.alpha, *a.cons.as_array()), (b.alpha, *b.cons.as_array())):
+                worst = max(worst, np.max(np.abs(x - y)) / np.max(np.abs(x)))
+    assert worst < 1e-12
+
+
 def test_interior_mass_conservation_bookkeeping():
     grid = random_grid(32, seed=5)
     field = constant_field(grid, 0.35)
     for _ in range(4):
         dt = cfl_dt(grid, 0.9, GAS, LIQUID)
         # recompute the interface data the step sees to read boundary fluxes
-        ext = apply_bc(grid)
-        a1 = np.asarray(ext.cells.phase1.alpha)
-        v1 = cons_to_prim(ext.cells.phase1.cons, GAS)
-        v2 = cons_to_prim(ext.cells.phase2.cons, LIQUID)
-        n = grid.n_cells
-        lft, rgt = slice(1, n + 2), slice(2, n + 3)
-        win = lambda v, s: Primitive(v.rho[s], v.u[s], v.p[s])
-        ifs = interface_fluxes(win(v1, lft), win(v1, rgt), win(v2, lft), win(v2, rgt),
-                               a1[lft], a1[rgt], field.values, GAS, LIQUID)
-        e1, e2 = ensemble_flux(ifs)
+        e1, e2 = ensemble_flux(interface_fluxes(grid, field, GAS, LIQUID))
         before = [np.sum(np.asarray(ph.alpha) * np.asarray(ph.cons.mass)) * grid.dx
                   for ph in (grid.cells.phase1, grid.cells.phase2)]
         grid = hyperbolic_step(grid, field, dt, GAS, LIQUID)
@@ -325,17 +349,19 @@ def test_cfl_dt_monotone_as_states_steepen():
     assert dts[0] > dts[2]
 
 
-def test_apply_bc_copies_edge_cells():
+def test_outer_interfaces_solve_edge_cell_against_itself():
     grid = random_grid(6, seed=6)
-    ext = apply_bc(grid)
-    assert ext.n_cells == 10
-    for phase, ext_phase in ((grid.cells.phase1, ext.cells.phase1),
-                             (grid.cells.phase2, ext.cells.phase2)):
-        a = np.asarray(phase.alpha)
-        ea = np.asarray(ext_phase.alpha)
-        assert np.array_equal(ea[:2], [a[0], a[0]])
-        assert np.array_equal(ea[-2:], [a[-1], a[-1]])
-        assert np.array_equal(ea[2:-2], a)
+    ifs = interface_fluxes(grid, constant_field(grid, 0.3), GAS, LIQUID)
+    assert ifs.fan_11.flux0.shape == (3, 7)
+    for phase, eos, fan in ((grid.cells.phase1, GAS, ifs.fan_11),
+                            (grid.cells.phase2, LIQUID, ifs.fan_22)):
+        v = cons_to_prim(phase.cons, eos)
+        for cell, face in ((0, 0), (-1, -1)):
+            edge = Primitive(v.rho[cell], v.u[cell], v.p[cell])
+            assert np.array_equal(fan.flux0[:, face], hllc(edge, edge, eos, eos).flux0)
+    a1 = np.asarray(grid.cells.phase1.alpha)
+    assert np.array_equal(ifs.quad.p_kk[[0, -1]],
+                          convex_quad(AlphaPair(a1[[0, -1]], a1[[0, -1]]), 0.3).p_kk)
 
 
 def test_ensemble_flux_reduces_to_alpha_weighted_godunov_at_r0():
@@ -344,35 +370,23 @@ def test_ensemble_flux_reduces_to_alpha_weighted_godunov_at_r0():
     v1 = uniform_primitive(n, 3.0, 12.0, 5e5)
     v2 = uniform_primitive(n, 950.0, -2.0, 5e5)
     grid = make_grid(np.full(n, 0.4), v1, v2)
-    ext = apply_bc(grid)
-    a1 = np.asarray(ext.cells.phase1.alpha)
-    w1 = cons_to_prim(ext.cells.phase1.cons, GAS)
-    w2 = cons_to_prim(ext.cells.phase2.cons, LIQUID)
-    lft, rgt = slice(1, n + 2), slice(2, n + 3)
-    win = lambda v, s: Primitive(v.rho[s], v.u[s], v.p[s])
-    ifs = interface_fluxes(win(w1, lft), win(w1, rgt), win(w2, lft), win(w2, rgt),
-                           a1[lft], a1[rgt], np.zeros(n + 1), GAS, LIQUID)
-    e1, e2 = ensemble_flux(ifs)
-    f11 = hllc(win(w1, lft), win(w1, rgt), GAS, GAS).flux0
-    f22 = hllc(win(w2, lft), win(w2, rgt), LIQUID, LIQUID).flux0
-    assert np.array_equal(e1, 0.4 * f11)
-    assert np.array_equal(e2, 0.6 * f22)
+    e1, e2 = ensemble_flux(interface_fluxes(grid, constant_field(grid, 0.0),
+                                            GAS, LIQUID))
+    # uniform data: every interface solves the same pair of equal states
+    w1 = cons_to_prim(grid.cells.phase1.cons, GAS)
+    w2 = cons_to_prim(grid.cells.phase2.cons, LIQUID)
+    f11 = hllc(w1, w1, GAS, GAS).flux0[:, :1]
+    f22 = hllc(w2, w2, LIQUID, LIQUID).flux0[:, :1]
+    assert np.array_equal(e1, np.broadcast_to(0.4 * f11, e1.shape))
+    assert np.array_equal(e2, np.broadcast_to(0.6 * f22, e2.shape))
 
 
 def test_boundary_flux_equals_interior_under_uniform_data():
     n = 8
     grid = make_grid(np.full(n, 0.4), uniform_primitive(n, 2.0, 5.0, 2e5),
                      uniform_primitive(n, 1000.0, 5.0, 2e5))
-    ext = apply_bc(grid)
-    a1 = np.asarray(ext.cells.phase1.alpha)
-    v1 = cons_to_prim(ext.cells.phase1.cons, GAS)
-    v2 = cons_to_prim(ext.cells.phase2.cons, LIQUID)
-    lft, rgt = slice(1, n + 2), slice(2, n + 3)
-    win = lambda v, s: Primitive(v.rho[s], v.u[s], v.p[s])
-    field = constant_field(grid, 0.3)
-    ifs = interface_fluxes(win(v1, lft), win(v1, rgt), win(v2, lft), win(v2, rgt),
-                           a1[lft], a1[rgt], field.values, GAS, LIQUID)
-    e1, _ = ensemble_flux(ifs)
+    e1, _ = ensemble_flux(interface_fluxes(grid, constant_field(grid, 0.3),
+                                           GAS, LIQUID))
     assert np.array_equal(e1[:, 0], e1[:, 1])
     assert np.array_equal(e1[:, -1], e1[:, -2])
 
@@ -386,14 +400,7 @@ def test_lagrangian_terms_local_to_material_interface():
     v1 = Primitive(np.full(n, 2.0), np.full(n, 15.0), np.full(n, 4e5))
     v2 = Primitive(np.full(n, 1000.0), np.full(n, -5.0), np.full(n, 2e5))
     grid = make_grid(a1, v1, v2)
-    ext = apply_bc(grid)
-    ea1 = np.asarray(ext.cells.phase1.alpha)
-    w1 = cons_to_prim(ext.cells.phase1.cons, GAS)
-    w2 = cons_to_prim(ext.cells.phase2.cons, LIQUID)
-    lft, rgt = slice(1, n + 2), slice(2, n + 3)
-    win = lambda v, s: Primitive(v.rho[s], v.u[s], v.p[s])
-    ifs = interface_fluxes(win(w1, lft), win(w1, rgt), win(w2, lft), win(w2, rgt),
-                           ea1[lft], ea1[rgt], np.zeros(n + 1), GAS, LIQUID)
+    ifs = interface_fluxes(grid, constant_field(grid, 0.0), GAS, LIQUID)
     l1, l2 = boundary_lagrangian(ifs)
     nonzero_cells = np.nonzero(np.any(l1 != 0.0, axis=0))[0]
     # the jump sits between cells 2 and 3

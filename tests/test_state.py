@@ -52,6 +52,19 @@ def test_cons_to_prim_rejects_bad_states():
         cons_to_prim(Conserved(1.0, 10.0, 1.0), GAS)
 
 
+def test_cons_to_prim_rejects_non_finite_states_naming_the_cell():
+    nan = float("nan")
+    with pytest.raises(InvalidStateError, match="pressure at cell 1"):
+        cons_to_prim(Conserved(np.array([1.0, 1.0]), np.zeros(2),
+                               np.array([2.5e5, nan])), GAS)
+    with pytest.raises(InvalidStateError, match="density at cell 2"):
+        cons_to_prim(Conserved(np.array([1.0, 1.0, nan]), np.zeros(3),
+                               np.full(3, 2.5e5)), GAS)
+    with pytest.raises(InvalidStateError, match="pressure at cell 0"):
+        cons_to_prim(Conserved(np.ones(2), np.zeros(2),
+                               np.array([float("inf"), 2.5e5])), GAS)
+
+
 def mixture(alpha1, v1, v2):
     return MixtureCell(
         phase1=PhaseCellState(alpha=alpha1, cons=prim_to_cons(v1, GAS)),
