@@ -29,15 +29,20 @@ class EosParams:
             raise InvalidStateError(f"pi_inf must be non-negative, got {self.pi_inf}")
 
 
+def _first_bad_index(mask):
+    flat = np.flatnonzero(np.asarray(mask))
+    return int(flat[0]) if flat.size else None
+
+
 def _check_admissible(rho, p, eos):
-    rho = np.asarray(rho)
-    p = np.asarray(p)
-    if np.any(rho <= 0.0) or not np.all(np.isfinite(rho)):
-        raise InvalidStateError("non-positive or non-finite density")
-    if np.any(p + eos.pi_inf <= 0.0) or not np.all(np.isfinite(p)):
+    idx = _first_bad_index(~(np.isfinite(rho) & (np.asarray(rho) > 0.0)))
+    if idx is not None:
+        raise InvalidStateError(f"non-positive or non-finite density at cell {idx}")
+    idx = _first_bad_index(~(np.isfinite(p) & (np.asarray(p) + eos.pi_inf > 0.0)))
+    if idx is not None:
         raise InvalidStateError(
-            "pressure below stiffened-gas admissibility limit (p + pi_inf <= 0)"
-        )
+            "pressure below stiffened-gas admissibility limit (p + pi_inf <= 0) "
+            f"at cell {idx}")
 
 
 def internal_energy(rho, p, eos):

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eos import EosParams, internal_energy, sound_speed
+from .eos import EosParams, _first_bad_index, internal_energy, sound_speed
 from .errors import InvalidStateError
-from .state import (MixtureCell, PhaseCellState, Primitive, _first_bad_index,
-                    cons_to_prim, prim_to_cons)
+from .state import MixtureCell, PhaseCellState, Primitive, cons_to_prim, prim_to_cons
 
 
 @dataclass(frozen=True)
@@ -39,12 +38,15 @@ def maxwellian(red: ReducedEquilibrium, eos1: EosParams, eos2: EosParams) -> Mix
         arr = np.asarray(a)
         if np.any(arr < 0.0) or np.any(arr > 1.0) or not np.all(np.isfinite(arr)):
             raise InvalidStateError("reconstructed volume fraction left [0, 1]")
-    return MixtureCell(
-        phase1=PhaseCellState(alpha=red.alpha1,
-                              cons=prim_to_cons(Primitive(red.rho1, red.u, red.p), eos1)),
-        phase2=PhaseCellState(alpha=red.alpha2,
-                              cons=prim_to_cons(Primitive(red.rho2, red.u, red.p), eos2)),
-    )
+
+    def phase(label, alpha, rho, eos):
+        try:
+            return PhaseCellState(alpha, prim_to_cons(Primitive(rho, red.u, red.p), eos))
+        except InvalidStateError as exc:
+            raise InvalidStateError(f"phase {label}: {exc}") from None
+
+    return MixtureCell(phase(1, red.alpha1, red.rho1, eos1),
+                       phase(2, red.alpha2, red.rho2, eos2))
 
 
 def reduce_equilibrium(cell: MixtureCell, eos1: EosParams, eos2: EosParams) -> ReducedEquilibrium:

@@ -1,13 +1,17 @@
 """Riemann solvers between arbitrary phase pairings.
 
-hllc is the workhorse flux (per-side stiffened-gas parameters, Davis wave
-speed estimates). exact_rp is the iterative exact solver used as an oracle.
-lagrangian_flux extracts the moving-interface flux p* [0, 1, sigma] from a
-solved fan, and interfacial_decomposition gives the closed-form acoustic
-contact speed / pressure split into symmetric and antisymmetric parts.
+thermo_state evaluates the equation of state once into a side record
+(rho, u, p, a, E, U, F). hllc, the workhorse flux (Davis wave speed
+estimates), reads two such records, so each side may carry its own
+stiffened-gas parameters while the solver calls no EOS function. exact_rp is
+the iterative exact solver used as an oracle. lagrangian_flux extracts the
+moving-interface flux p* [0, 1, sigma] from a solved fan, and
+interfacial_decomposition gives the closed-form acoustic contact speed /
+pressure split into symmetric and antisymmetric parts.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,16 +20,28 @@ from .errors import InvalidStateError, SolverError
 from .state import Primitive
 
 
-def physical_flux(v: Primitive, eos: EosParams):
-    """Exact flux [rho u, rho u^2 + p, u (rho E + p)] of a primitive state,
-    stacked as shape (3, ...)."""
-    e = internal_energy(v.rho, v.p, eos)
-    rho_E = v.rho * (e + 0.5 * v.u**2)
-    return np.stack(np.broadcast_arrays(
-        v.rho * v.u,
-        v.rho * v.u**2 + v.p,
-        v.u * (rho_E + v.p),
-    ))
+class ThermoState(NamedTuple):
+    """Everything a Riemann solve reads from one side: primitives, sound speed,
+    specific total energy E, conserved U = [rho, rho u, rho E] and physical
+    flux F = [rho u, rho u^2 + p, u (rho E + p)], each stacked as (3, ...)."""
+
+    rho: np.ndarray
+    u: np.ndarray
+    p: np.ndarray
+    a: np.ndarray
+    E: np.ndarray
+    U: np.ndarray
+    F: np.ndarray
+
+
+def thermo_state(v: Primitive, eos: EosParams) -> ThermoState:
+    """Evaluate the equation of state once for an admissible primitive state."""
+    rho, u, p = (np.asarray(x, dtype=float) for x in (v.rho, v.u, v.p))
+    E = internal_energy(rho, p, eos) + 0.5 * u**2
+    rho_E = rho * E
+    U = np.stack(np.broadcast_arrays(rho, rho * u, rho_E))
+    F = np.stack(np.broadcast_arrays(rho * u, rho * u**2 + p, u * (rho_E + p)))
+    return ThermoState(rho, u, p, sound_speed(rho, p, eos), E, U, F)
 
 
 @dataclass(frozen=True)
@@ -40,19 +56,17 @@ class RiemannFan:
     s_right: float | np.ndarray
 
 
-def hllc(left: Primitive, right: Primitive, eos_left: EosParams,
-         eos_right: EosParams) -> RiemannFan:
-    """HLLC solver generalized to a different stiffened-gas EOS per side.
+def hllc(left: ThermoState, right: ThermoState) -> RiemannFan:
+    """HLLC solver between two side records, each from its own stiffened-gas
+    EOS (see thermo_state); the solver itself calls no EOS function.
 
     Wave speed estimates are Davis-type: s_L = min(u_L - a_L, u_R - a_R) and
     s_R = max(u_L + a_L, u_R + a_R), each side with its own sound speed. The
     star flux satisfies F* = sigma U* + p* [0, 1, sigma], so the fan feeds
     lagrangian_flux directly. Consistency: hllc(V, V) returns the exact flux.
     """
-    rl, ul, pl = (np.asarray(x, dtype=float) for x in (left.rho, left.u, left.p))
-    rr, ur, pr = (np.asarray(x, dtype=float) for x in (right.rho, right.u, right.p))
-    al = sound_speed(rl, pl, eos_left)
-    ar = sound_speed(rr, pr, eos_right)
+    rl, ul, pl, al = left.rho, left.u, left.p, left.a
+    rr, ur, pr, ar = right.rho, right.u, right.p, right.a
 
     s_l = np.minimum(ul - al, ur - ar)
     s_r = np.maximum(ul + al, ur + ar)
@@ -67,32 +81,25 @@ def hllc(left: Primitive, right: Primitive, eos_left: EosParams,
     if np.any(~((s_l <= sigma) & (sigma <= s_r))):
         raise SolverError("HLLC contact speed left the wave fan")
 
-    E_l = internal_energy(rl, pl, eos_left) + 0.5 * ul**2
-    E_r = internal_energy(rr, pr, eos_right) + 0.5 * ur**2
-    U_l = np.stack(np.broadcast_arrays(rl, rl * ul, rl * E_l))
-    U_r = np.stack(np.broadcast_arrays(rr, rr * ur, rr * E_r))
-    F_l = physical_flux(Primitive(rl, ul, pl), eos_left)
-    F_r = physical_flux(Primitive(rr, ur, pr), eos_right)
-
     fac_l = rl * (s_l - ul) / (s_l - sigma)
     fac_r = rr * (s_r - ur) / (s_r - sigma)
     U_star_l = np.stack(np.broadcast_arrays(
         fac_l,
         fac_l * sigma,
-        fac_l * (E_l + (sigma - ul) * (sigma + pl / q_l)),
+        fac_l * (left.E + (sigma - ul) * (sigma + pl / q_l)),
     ))
     U_star_r = np.stack(np.broadcast_arrays(
         fac_r,
         fac_r * sigma,
-        fac_r * (E_r + (sigma - ur) * (sigma + pr / q_r)),
+        fac_r * (right.E + (sigma - ur) * (sigma + pr / q_r)),
     ))
-    F_star_l = F_l + s_l * (U_star_l - U_l)
-    F_star_r = F_r + s_r * (U_star_r - U_r)
+    F_star_l = left.F + s_l * (U_star_l - left.U)
+    F_star_r = right.F + s_r * (U_star_r - right.U)
 
     # sample at x/t = 0; the contact at exactly 0 takes the left star state
-    flux0 = np.where(s_l >= 0.0, F_l,
+    flux0 = np.where(s_l >= 0.0, left.F,
                      np.where(sigma >= 0.0, F_star_l,
-                              np.where(s_r >= 0.0, F_star_r, F_r)))
+                              np.where(s_r >= 0.0, F_star_r, right.F)))
     return RiemannFan(
         flux0=flux0,
         sigma=sigma,

@@ -17,7 +17,7 @@ from .errors import DemflowError, SolverError
 from .probability import AlphaPair, ProbabilityQuad, convex_quad
 from .regime import RegimeField, StochasticRegime, UniformRandomRegime, init_field, stochastic_update
 from .relaxation import relax_continuous, relax_projection
-from .riemann import RiemannFan, hllc, lagrangian_flux
+from .riemann import RiemannFan, ThermoState, hllc, lagrangian_flux, thermo_state
 from .state import (Conserved, MixtureCell, PhaseCellState, Primitive,
                     cons_to_prim, prim_to_cons, validate_mixture)
 
@@ -73,29 +73,30 @@ def interface_fluxes(grid: Grid1D, regime: RegimeField, eos1, eos2) -> Interface
     """Solve the four phase-pairing Riemann problems at all n + 1 interfaces
     of the grid and attach the probability coefficients.
 
-    Primitives are recovered once per phase on the n cells. Interface i sits
-    between cells i - 1 and i; the two outer interfaces see a copy of their
-    edge cell (transmissive boundary)."""
+    Primitives are recovered and the equation of state evaluated once per
+    phase, on the n cells edge-copied to n + 2; all four pairings read views
+    of those two records. Interface i sits between cells i - 1 and i; the two
+    outer interfaces see a copy of their edge cell (transmissive boundary)."""
     if np.shape(regime.values) != (grid.n_cells + 1,):
         raise SolverError("regime field does not match the grid's interfaces")
 
-    def sides(x):
-        ext = np.concatenate([x[:1], x, x[-1:]])
-        return ext[:-1], ext[1:]
+    def edge_copy(x):
+        return np.concatenate([x[:1], x, x[-1:]])
 
-    def primitive_sides(phase, eos):
+    def side_records(phase, eos):
         v = cons_to_prim(phase.cons, eos)
-        rho, u, p = sides(v.rho), sides(v.u), sides(v.p)
-        return Primitive(rho[0], u[0], p[0]), Primitive(rho[1], u[1], p[1])
+        rec = thermo_state(Primitive(edge_copy(v.rho), edge_copy(v.u), edge_copy(v.p)), eos)
+        return (ThermoState(*(x[..., :-1] for x in rec)),
+                ThermoState(*(x[..., 1:] for x in rec)))
 
-    v1_left, v1_right = primitive_sides(grid.cells.phase1, eos1)
-    v2_left, v2_right = primitive_sides(grid.cells.phase2, eos2)
-    alpha1_left, alpha1_right = sides(np.asarray(grid.cells.phase1.alpha, dtype=float))
-    fan_11 = hllc(v1_left, v1_right, eos1, eos1)
-    fan_12 = hllc(v1_left, v2_right, eos1, eos2)
-    fan_21 = hllc(v2_left, v1_right, eos2, eos1)
-    fan_22 = hllc(v2_left, v2_right, eos2, eos2)
-    quad = convex_quad(AlphaPair(alpha1_left, alpha1_right), regime.values)
+    t1_left, t1_right = side_records(grid.cells.phase1, eos1)
+    t2_left, t2_right = side_records(grid.cells.phase2, eos2)
+    alpha1 = edge_copy(np.asarray(grid.cells.phase1.alpha, dtype=float))
+    fan_11 = hllc(t1_left, t1_right)
+    fan_12 = hllc(t1_left, t2_right)
+    fan_21 = hllc(t2_left, t1_right)
+    fan_22 = hllc(t2_left, t2_right)
+    quad = convex_quad(AlphaPair(alpha1[:-1], alpha1[1:]), regime.values)
     return InterfaceFluxSet(fan_11, fan_12, fan_21, fan_22, quad,
                             beta(fan_12.sigma), beta(fan_21.sigma))
 

@@ -83,25 +83,24 @@ def write_snapshot(path, grid, t, regime_values, meta: dict, eos1, eos2):
 def read_snapshot(path):
     """Read a snapshot back: (meta dict, column dict of float arrays)."""
     meta = {}
-    rows = []
     names = None
     with open(path, "r", encoding="utf-8") as handle:
-        for raw in handle:
+        for raw in handle:  # header lines up to and including the column names
             line = raw.strip()
-            if not line:
-                continue
             if line.startswith("#"):
                 key, _, value = line.lstrip("# ").partition("=")
                 meta[key.strip()] = value.strip()
-            elif names is None:
+            elif line:
                 names = tuple(line.split(","))
-            else:
-                rows.append([float(tok) for tok in line.split(",")])
-    if names != SNAPSHOT_COLUMNS:
-        raise ConfigError(f"unexpected snapshot columns {names!r}")
-    data = np.asarray(rows, dtype=float)
-    if data.ndim != 2 or data.shape[1] != len(SNAPSHOT_COLUMNS):
-        raise ConfigError("malformed snapshot table")
+                break
+        if names != SNAPSHOT_COLUMNS:
+            raise ConfigError(f"unexpected snapshot columns {names!r}")
+        try:
+            data = np.loadtxt(handle, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"malformed snapshot table in {path}: {exc}") from None
+    if data.shape[1] != len(SNAPSHOT_COLUMNS):
+        raise ConfigError(f"malformed snapshot table in {path}")
     return meta, {name: data[:, j] for j, name in enumerate(SNAPSHOT_COLUMNS)}
 
 

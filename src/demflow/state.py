@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eos import EosParams, internal_energy, pressure_from_energy
+from .eos import EosParams, _first_bad_index, internal_energy, pressure_from_energy
 from .errors import InvalidStateError
 
 # saturation condition alpha1 + alpha2 = 1 must hold to this absolute tolerance
@@ -100,11 +100,6 @@ def mixture_quantities(cell: MixtureCell, eos1: EosParams, eos2: EosParams):
     u_mix = (a1 * v1.rho * v1.u + a2 * v2.rho * v2.u) / rho_mix
     p_mix = a1 * v1.p + a2 * v2.p
     return rho_mix, u_mix, p_mix
-
-
-def _first_bad_index(mask):
-    flat = np.flatnonzero(np.asarray(mask))
-    return int(flat[0]) if flat.size else None
 
 
 def validate_mixture(cell: MixtureCell, eos1: EosParams, eos2: EosParams, context=""):

@@ -7,9 +7,9 @@ from demflow.config import (EPS_VF, PhaseSideInit, available_presets,
 from demflow.errors import ConfigError
 from demflow.regime import ConstantRegime, PiecewiseRegime, StochasticRegime
 from demflow.scheme import run
-from demflow.snapshots import (compare_oracle, oracle_from_string,
-                               read_snapshot, snapshot_meta, snapshot_table,
-                               write_snapshot)
+from demflow.snapshots import (SNAPSHOT_COLUMNS, compare_oracle,
+                               oracle_from_string, read_snapshot, snapshot_meta,
+                               snapshot_table, write_snapshot)
 
 MINIMAL = """
 # two-chamber tube
@@ -209,7 +209,6 @@ def test_snapshot_round_trip_is_bit_exact(tmp_path):
     assert meta["seed"] == "0" and meta["relaxation"] == "none"
     assert meta["rng"] == "numpy-pcg64"
     assert len(data) == 12
-    from demflow.snapshots import SNAPSHOT_COLUMNS
     for j, name in enumerate(SNAPSHOT_COLUMNS):
         assert np.array_equal(data[name], table[:, j]), name
 
@@ -333,6 +332,25 @@ def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):
     assert main(["preset", "t1_uniform_vf", "--override", "n_cells=8",
                  "--override", "t_end=0", "-o",
                  str(tmp_path / "no_dir" / "out.csv")]) == 1
+
+
+def test_cli_compare_rejects_malformed_snapshot(tmp_path, capsys):
+    good = tmp_path / "good.csv"
+    assert main(["preset", "t1_uniform_vf", "--override", "n_cells=8",
+                 "--override", "t_end=1e-6", "-o", str(good)]) == 0
+    lines = good.read_text().splitlines()
+    first_row = lines.index(",".join(SNAPSHOT_COLUMNS)) + 1
+    non_numeric = lines.copy()
+    non_numeric[first_row + 2] = non_numeric[first_row + 2].replace(",", ",abc,", 1)
+    ragged = lines.copy()
+    ragged[first_row + 3] += ",1.0"
+    for tag, text in (("non_numeric", non_numeric), ("ragged", ragged)):
+        bad = tmp_path / f"{tag}.csv"
+        bad.write_text("\n".join(text) + "\n")
+        with pytest.raises(ConfigError, match="malformed snapshot table"):
+            read_snapshot(bad)
+        assert main(["compare", str(bad), "phases:t1_uniform_vf"]) == 1
+        assert f"{tag}.csv" in capsys.readouterr().err
 
 
 def test_cli_preset_list(capsys):

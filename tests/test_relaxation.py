@@ -187,6 +187,19 @@ def test_relaxation_errors_name_cell_and_phase():
         relax_continuous(cell, GAS, LIQUID)
 
 
+def test_maxwellian_errors_name_phase_and_cell():
+    # the common pressure at cell 2 is admissible for the liquid (phase 1)
+    # but below the gas limit p > 0 (phase 2)
+    p = np.full(5, 1e5)
+    p[2] = -1e5
+    red = ReducedEquilibrium(alpha1=np.full(5, 0.5), rho1=np.full(5, 1000.0),
+                             u=np.zeros(5), p=p,
+                             alpha2=np.full(5, 0.5), rho2=np.full(5, 1.0))
+    with pytest.raises(InvalidStateError,
+                       match=r"^phase 2: pressure below .* at cell 2$"):
+        maxwellian(red, LIQUID, GAS)
+
+
 # ------------------------------------------------------ projection (B)
 
 def test_relax_projection_fixed_point():

@@ -4,8 +4,8 @@ import pytest
 from demflow.eos import EosParams, internal_energy, sound_speed
 from demflow.errors import SolverError
 from demflow.riemann import (exact_rp, hllc, interfacial_decomposition,
-                             lagrangian_flux, physical_flux)
-from demflow.state import Primitive
+                             lagrangian_flux, thermo_state)
+from demflow.state import Primitive, prim_to_cons
 
 GAS = EosParams(1.4, 0.0)
 LIQUID = EosParams(4.4, 6.0e8)
@@ -49,24 +49,40 @@ def star_state_at_origin(fan, left, right, eos_l, eos_r):
 def test_hllc_consistency_equal_states():
     for v, eos in ((Primitive(1.2, 30.0, 2e5), GAS),
                    (Primitive(998.0, -4.0, 3e6), LIQUID)):
-        fan = hllc(v, v, eos, eos)
-        exact = physical_flux(v, eos)
+        side = thermo_state(v, eos)
+        fan = hllc(side, side)
+        exact = side.F
         assert np.max(np.abs(fan.flux0 - exact) /
                       np.maximum(np.abs(exact), 1.0)) < 1e-12
         assert fan.sigma == pytest.approx(v.u, abs=1e-12 * max(1.0, abs(v.u)))
+    # random batches: the error is scaled by the star terms s (U* - U) that
+    # cancel, of size a |U| (|F| alone can be tiny where u is near 0)
+    for eos, seed in ((GAS, 13), (LIQUID, 14)):
+        v, _ = random_pairs(5000, eos, eos, seed=seed)
+        side = thermo_state(v, eos)
+        fan = hllc(side, side)
+        scale = np.abs(side.F) + side.a * np.abs(side.U)
+        assert np.max(np.abs(fan.flux0 - side.F) / scale) < 1e-13
+        assert np.max(np.abs(fan.sigma - v.u) / np.maximum(1.0, np.abs(v.u))) < 1e-12
+
+
+def test_thermo_state_conserved_vector_matches_prim_to_cons():
+    for eos, seed in ((GAS, 15), (LIQUID, 16)):
+        v, _ = random_pairs(5000, eos, eos, seed=seed)
+        assert np.array_equal(thermo_state(v, eos).U, prim_to_cons(v, eos).as_array())
 
 
 def test_hllc_symmetric_compression():
     # mirror-symmetric colliding states force a standing contact
     v_l = Primitive(10.0, 25.0, 5e5)
     v_r = Primitive(10.0, -25.0, 5e5)
-    fan = hllc(v_l, v_r, GAS, GAS)
+    fan = hllc(thermo_state(v_l, GAS), thermo_state(v_r, GAS))
     assert abs(fan.sigma) < 1e-10
     assert fan.p_star > 5e5
 
 
 def test_hllc_two_material_strong_shock_tube():
-    fan = hllc(T1_GAS_LEFT, T1_LIQ_RIGHT, GAS, LIQUID)
+    fan = hllc(thermo_state(T1_GAS_LEFT, GAS), thermo_state(T1_LIQ_RIGHT, LIQUID))
     assert fan.sigma > 0.0
     assert 1e5 < fan.p_star < 1e9
     # cross-check against the exact two-material solver (HLLC is approximate)
@@ -76,7 +92,7 @@ def test_hllc_two_material_strong_shock_tube():
 
 def test_hllc_fan_ordering_and_star_mass_flux():
     left, right = random_pairs(5000, GAS, LIQUID, seed=7)
-    fan = hllc(left, right, GAS, LIQUID)
+    fan = hllc(thermo_state(left, GAS), thermo_state(right, LIQUID))
     assert np.all(fan.s_left <= fan.sigma) and np.all(fan.sigma <= fan.s_right)
     # wherever x/t = 0 falls inside the star region, the sampled state moves
     # with sigma: mass flux minus sigma * density vanishes
@@ -90,13 +106,13 @@ def test_hllc_fan_ordering_and_star_mass_flux():
 def test_hllc_flux_vector_splitting_in_star_region():
     # F* = sigma U* + p* [0, 1, sigma] wherever the star region covers x/t = 0
     left, right = random_pairs(5000, LIQUID, GAS, seed=11)
-    fan = hllc(left, right, LIQUID, GAS)
+    fan = hllc(thermo_state(left, LIQUID), thermo_state(right, GAS))
     star = (fan.s_left < 0.0) & (fan.s_right > 0.0)
     u_star = star_state_at_origin(fan, left, right, LIQUID, GAS)
     split = fan.sigma * u_star + lagrangian_flux(fan)
     # scale by the magnitude of the cancelling terms in the star flux
-    f_l = physical_flux(left, LIQUID)
-    f_r = physical_flux(right, GAS)
+    f_l = thermo_state(left, LIQUID).F
+    f_r = thermo_state(right, GAS).F
     waves = np.abs(fan.s_left) + np.abs(fan.s_right) + np.abs(fan.sigma)
     scale = np.abs(f_l) + np.abs(f_r) + waves * np.abs(u_star) + np.abs(fan.p_star)
     assert np.max(np.abs((fan.flux0 - split)[:, star]) / scale[:, star]) < 1e-12
@@ -106,7 +122,7 @@ def test_hllc_matches_acoustic_form_with_davis_impedances():
     # with Z = rho |u - outer wave speed| the HLLC sigma and p* are exactly
     # the acoustic interfacial formulas
     left, right = random_pairs(2000, GAS, LIQUID, seed=3)
-    fan = hllc(left, right, GAS, LIQUID)
+    fan = hllc(thermo_state(left, GAS), thermo_state(right, LIQUID))
     z_l = left.rho * (left.u - fan.s_left)
     z_r = right.rho * (fan.s_right - right.u)
     ac = interfacial_decomposition(left, right, z_l, z_r)
@@ -120,7 +136,7 @@ def test_hllc_converges_to_acoustic_for_near_equal_states():
     z = float(v.rho * sound_speed(v.rho, v.p, GAS))
     for delta in (1e-3, 1e-5):
         v_r = Primitive(v.rho * (1 + delta), v.u * (1 + delta), v.p * (1 + delta))
-        fan = hllc(v, v_r, GAS, GAS)
+        fan = hllc(thermo_state(v, GAS), thermo_state(v_r, GAS))
         ac = interfacial_decomposition(v, v_r, z, z)
         assert abs(fan.sigma - ac.sigma) < 10.0 * delta * abs(ac.sigma) + 1e-9
         assert abs(fan.p_star - ac.p_star) < 10.0 * delta * ac.p_star
@@ -130,13 +146,15 @@ def test_hllc_converges_to_acoustic_for_near_equal_states():
 
 def test_lagrangian_flux_stationary_contact():
     v = Primitive(1.0, 0.0, 7e4)
-    flag = lagrangian_flux(hllc(v, v, GAS, GAS))
+    side = thermo_state(v, GAS)
+    flag = lagrangian_flux(hllc(side, side))
     assert np.allclose(flag, [0.0, 7e4, 0.0], rtol=1e-13)
 
 
 def test_lagrangian_flux_moving_contact():
     v = Primitive(1.0, 12.0, 7e4)
-    flag = lagrangian_flux(hllc(v, v, GAS, GAS))
+    side = thermo_state(v, GAS)
+    flag = lagrangian_flux(hllc(side, side))
     assert flag[0] == 0.0
     assert flag[1] == pytest.approx(7e4, rel=1e-12)
     assert flag[2] == pytest.approx(7e4 * 12.0, rel=1e-12)
@@ -144,7 +162,7 @@ def test_lagrangian_flux_moving_contact():
 
 def test_lagrangian_flux_mass_component_is_zero():
     left, right = random_pairs(2000, GAS, GAS, seed=5)
-    flag = lagrangian_flux(hllc(left, right, GAS, GAS))
+    flag = lagrangian_flux(hllc(thermo_state(left, GAS), thermo_state(right, GAS)))
     assert np.all(flag[0] == 0.0)
 
 

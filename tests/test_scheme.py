@@ -8,7 +8,7 @@ from demflow.eos import EosParams
 from demflow.errors import InvalidStateError, SolverError
 from demflow.probability import AlphaPair, convex_quad
 from demflow.regime import ConstantRegime, init_field
-from demflow.riemann import hllc, lagrangian_flux
+from demflow.riemann import hllc, lagrangian_flux, thermo_state
 from demflow.scheme import (Grid1D, beta, cfl_dt, hyperbolic_step,
                             interface_fluxes, ensemble_flux, run)
 from demflow.state import (Conserved, MixtureCell, PhaseCellState, Primitive,
@@ -79,7 +79,8 @@ def reference_step(grid, r_values, dt, eos1=GAS, eos2=LIQUID):
         fan = {}
         for kl in (1, 2):
             for kr in (1, 2):
-                fan[kl, kr] = hllc(prim(kl, il), prim(kr, ir), eos[kl], eos[kr])
+                fan[kl, kr] = hllc(thermo_state(prim(kl, il), eos[kl]),
+                                   thermo_state(prim(kr, ir), eos[kr]))
         quad = convex_quad(AlphaPair(val(a[1], il), val(a[1], ir)), r_values[j])
         prob = {(1, 1): float(quad.p_kk), (1, 2): float(quad.p_kl),
                 (2, 1): float(quad.p_lk), (2, 2): float(quad.p_ll)}
@@ -170,8 +171,8 @@ def godunov_update(v, eos, dt, dx):
     flux = np.zeros((3, n + 1))
     for j in range(n + 1):
         il, ir = max(j - 1, 0), min(j, n - 1)
-        fan = hllc(Primitive(v.rho[il], v.u[il], v.p[il]),
-                   Primitive(v.rho[ir], v.u[ir], v.p[ir]), eos, eos)
+        fan = hllc(thermo_state(Primitive(v.rho[il], v.u[il], v.p[il]), eos),
+                   thermo_state(Primitive(v.rho[ir], v.u[ir], v.p[ir]), eos))
         flux[:, j] = fan.flux0
     U = prim_to_cons(v, eos).as_array()
     return U - dt / dx * (flux[:, 1:] - flux[:, :-1])
@@ -357,8 +358,8 @@ def test_outer_interfaces_solve_edge_cell_against_itself():
                             (grid.cells.phase2, LIQUID, ifs.fan_22)):
         v = cons_to_prim(phase.cons, eos)
         for cell, face in ((0, 0), (-1, -1)):
-            edge = Primitive(v.rho[cell], v.u[cell], v.p[cell])
-            assert np.array_equal(fan.flux0[:, face], hllc(edge, edge, eos, eos).flux0)
+            edge = thermo_state(Primitive(v.rho[cell], v.u[cell], v.p[cell]), eos)
+            assert np.array_equal(fan.flux0[:, face], hllc(edge, edge).flux0)
     a1 = np.asarray(grid.cells.phase1.alpha)
     assert np.array_equal(ifs.quad.p_kk[[0, -1]],
                           convex_quad(AlphaPair(a1[[0, -1]], a1[[0, -1]]), 0.3).p_kk)
@@ -375,8 +376,9 @@ def test_ensemble_flux_reduces_to_alpha_weighted_godunov_at_r0():
     # uniform data: every interface solves the same pair of equal states
     w1 = cons_to_prim(grid.cells.phase1.cons, GAS)
     w2 = cons_to_prim(grid.cells.phase2.cons, LIQUID)
-    f11 = hllc(w1, w1, GAS, GAS).flux0[:, :1]
-    f22 = hllc(w2, w2, LIQUID, LIQUID).flux0[:, :1]
+    s1, s2 = thermo_state(w1, GAS), thermo_state(w2, LIQUID)
+    f11 = hllc(s1, s1).flux0[:, :1]
+    f22 = hllc(s2, s2).flux0[:, :1]
     assert np.array_equal(e1, np.broadcast_to(0.4 * f11, e1.shape))
     assert np.array_equal(e2, np.broadcast_to(0.6 * f22, e2.shape))
 
