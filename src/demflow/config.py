@@ -7,10 +7,11 @@ are SI (times in seconds). Unknown keys are hard errors with line numbers.
 
 from dataclasses import dataclass
 
-from .eos import EosParams, internal_energy
+from .eos import EosParams, _check_admissible
 from .errors import ConfigError, DemflowError
 from .regime import (ConstantRegime, PiecewiseRegime, StochasticRegime,
                      UniformRandomRegime)
+from .state import SATURATION_TOL
 
 # volume-fraction floor for initial data; keeps nearly pure phases off the
 # boundary so relaxation and probability coefficients stay well defined
@@ -51,27 +52,21 @@ class RunConfig:
     output: str | None = None
 
 
+# left_alpha1, left_rho1, left_u1, left_p1, left_alpha2, ..., right_p2
+_STATE_KEYS = tuple(f"{side}_{q}{phase}" for side in ("left", "right")
+                    for phase in (1, 2) for q in ("alpha", "rho", "u", "p"))
 _FLOAT_KEYS = {
     "x_min", "x_max", "t_end", "cfl", "diaphragm",
     "gamma1", "pi_inf1", "gamma2", "pi_inf2",
-    "regime_r", "regime_epsilon", "regime_r0",
-    "left_alpha1", "left_rho1", "left_u1", "left_p1",
-    "left_alpha2", "left_rho2", "left_u2", "left_p2",
-    "right_alpha1", "right_rho1", "right_u1", "right_p1",
-    "right_alpha2", "right_rho2", "right_u2", "right_p2",
+    "regime_r", "regime_epsilon", "regime_r0", *_STATE_KEYS,
 }
 _INT_KEYS = {"n_cells", "seed"}
 _STR_KEYS = {"relaxation", "regime", "output", "preset"}
 _LIST_KEYS = {"regime_breakpoints", "regime_values", "snapshots"}
 _ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS | _LIST_KEYS
 
-_REQUIRED = (
-    "x_min", "x_max", "n_cells", "t_end", "gamma1", "pi_inf1", "gamma2", "pi_inf2",
-    "left_alpha1", "left_rho1", "left_u1", "left_p1",
-    "left_alpha2", "left_rho2", "left_u2", "left_p2",
-    "right_alpha1", "right_rho1", "right_u1", "right_p1",
-    "right_alpha2", "right_rho2", "right_u2", "right_p2",
-)
+_REQUIRED = ("x_min", "x_max", "n_cells", "t_end", "gamma1", "pi_inf1", "gamma2", "pi_inf2",
+             *_STATE_KEYS)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -173,7 +168,7 @@ def _build(entries) -> RunConfig:
             raise ConfigError(
                 f"{key} must lie in [{EPS_VF:g}, {1.0 - EPS_VF:g}]", line=line_of(key))
         try:
-            internal_energy(init.rho, init.p, eos)
+            _check_admissible(init.rho, init.p, eos)
         except DemflowError as exc:
             raise ConfigError(f"{prefix} phase {phase} state inadmissible: {exc}",
                               line=line_of(f"{prefix}_p{phase}")) from exc
@@ -184,7 +179,7 @@ def _build(entries) -> RunConfig:
     right1 = side("right", 1, eos1)
     right2 = side("right", 2, eos2)
     for prefix, a, b in (("left", left1, left2), ("right", right1, right2)):
-        if abs(a.alpha + b.alpha - 1.0) > 1e-12:
+        if abs(a.alpha + b.alpha - 1.0) > SATURATION_TOL:
             raise ConfigError(f"{prefix} volume fractions do not saturate",
                               line=line_of(f"{prefix}_alpha1"))
 

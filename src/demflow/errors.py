@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class DemflowError(Exception):
     """Base class for all errors raised by this package."""
@@ -21,3 +23,12 @@ class ConfigError(DemflowError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+@contextmanager
+def _prefixed(label, suffix=""):
+    """Re-raise an InvalidStateError from the block as 'label: message suffix'."""
+    try:
+        yield
+    except InvalidStateError as exc:
+        raise InvalidStateError(f"{label}: {exc}{suffix}") from None

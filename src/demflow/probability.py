@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidStateError
+from .errors import InvalidStateError, _prefixed
+from .state import _check_fraction
 
 
 @dataclass(frozen=True)
@@ -24,10 +25,9 @@ class AlphaPair:
     alpha_right: float | np.ndarray
 
     def __post_init__(self):
-        for a in (self.alpha_left, self.alpha_right):
-            arr = np.asarray(a)
-            if np.any(arr < 0.0) or np.any(arr > 1.0) or not np.all(np.isfinite(arr)):
-                raise InvalidStateError("volume fraction outside [0, 1]")
+        for side in ("alpha_left", "alpha_right"):
+            with _prefixed(side):
+                _check_fraction(getattr(self, side))
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eos import EosParams, _first_bad_index, internal_energy, sound_speed
-from .errors import InvalidStateError
-from .state import MixtureCell, PhaseCellState, Primitive, cons_to_prim, prim_to_cons
+from .errors import InvalidStateError, _prefixed
+from .state import (MixtureCell, PhaseCellState, Primitive, _check_fraction, cons_to_prim,
+                    prim_to_cons)
 
 
 @dataclass(frozen=True)
@@ -34,16 +35,10 @@ class ReducedEquilibrium:
 
 def maxwellian(red: ReducedEquilibrium, eos1: EosParams, eos2: EosParams) -> MixtureCell:
     """Rebuild a full two-phase cell from reduced equilibrium variables."""
-    for a in (red.alpha1, red.alpha2):
-        arr = np.asarray(a)
-        if np.any(arr < 0.0) or np.any(arr > 1.0) or not np.all(np.isfinite(arr)):
-            raise InvalidStateError("reconstructed volume fraction left [0, 1]")
-
     def phase(label, alpha, rho, eos):
-        try:
+        with _prefixed(f"phase {label}"):
+            _check_fraction(alpha)
             return PhaseCellState(alpha, prim_to_cons(Primitive(rho, red.u, red.p), eos))
-        except InvalidStateError as exc:
-            raise InvalidStateError(f"phase {label}: {exc}") from None
 
     return MixtureCell(phase(1, red.alpha1, red.rho1, eos1),
                        phase(2, red.alpha2, red.rho2, eos2))
@@ -67,15 +62,21 @@ def reduce_equilibrium(cell: MixtureCell, eos1: EosParams, eos2: EosParams) -> R
 def _phase_arrays(cell, eos1, eos2):
     a1 = np.atleast_1d(np.asarray(cell.phase1.alpha, dtype=float))
     a2 = np.atleast_1d(np.asarray(cell.phase2.alpha, dtype=float))
-    v1 = cons_to_prim(cell.phase1.cons, eos1)
-    v2 = cons_to_prim(cell.phase2.cons, eos2)
+    with _prefixed("phase 1"):
+        v1 = cons_to_prim(cell.phase1.cons, eos1)
+    with _prefixed("phase 2"):
+        v2 = cons_to_prim(cell.phase2.cons, eos2)
     prims = [np.atleast_1d(np.asarray(x, dtype=float))
              for x in (v1.rho, v1.u, v1.p, v2.rho, v2.u, v2.p)]
     return (a1, a2, *prims)
 
 
-def _restore_shape(value, like):
-    return value.reshape(np.shape(like)) if np.ndim(like) else float(value[0])
+def _reduced(like, **fields):
+    """ReducedEquilibrium whose fields take the shape of `like` (floats for a
+    scalar cell), undoing the atleast_1d of _phase_arrays."""
+    def shaped(x):
+        return x.reshape(np.shape(like)) if np.ndim(like) else float(x[0])
+    return ReducedEquilibrium(**{name: shaped(x) for name, x in fields.items()})
 
 
 def _require_both_phases(a1, a2):
@@ -85,6 +86,15 @@ def _require_both_phases(a1, a2):
             raise InvalidStateError(
                 "relaxation requires both phases present (0 < alpha < 1): "
                 f"phase {label} has alpha = {a.flat[idx]:.9g} at cell {idx}")
+
+
+def _acoustic_coefficients(a1, a2, rho1, p1, rho2, p2, eos1, eos2):
+    """c1^2, c2^2, d = a1 rho2 c2^2 + a2 rho1 c1^2 and m_k = a_k rho_k of the
+    linearized relaxation source."""
+    c1sq = sound_speed(rho1, p1, eos1) ** 2
+    c2sq = sound_speed(rho2, p2, eos2) ** 2
+    d = a1 * rho2 * c2sq + a2 * rho1 * c1sq
+    return c1sq, c2sq, d, a1 * rho1, a2 * rho2
 
 
 def relax_continuous(cell: MixtureCell, eos1: EosParams, eos2: EosParams) -> MixtureCell:
@@ -102,7 +112,6 @@ def relax_continuous(cell: MixtureCell, eos1: EosParams, eos2: EosParams) -> Mix
     mixture momentum are preserved exactly, mixture energy to round-off.
     """
     a1, a2, rho10, u1, p1, rho20, u2, p2 = _phase_arrays(cell, eos1, eos2)
-    shape_like = cell.phase1.alpha
     _require_both_phases(a1, a2)
 
     m1 = a1 * rho10
@@ -132,14 +141,8 @@ def relax_continuous(cell: MixtureCell, eos1: EosParams, eos2: EosParams) -> Mix
     r1 = rho10 * g1 * (p + pi1) / ((g1 - 1.0) * (E1 + p))
     r2 = rho20 * g2 * (p + pi2) / ((g2 - 1.0) * (E2 + p))
 
-    red = ReducedEquilibrium(
-        alpha1=_restore_shape(m1 / r1, shape_like),
-        rho1=_restore_shape(r1, shape_like),
-        u=_restore_shape(u_star, shape_like),
-        p=_restore_shape(p, shape_like),
-        alpha2=_restore_shape(m2 / r2, shape_like),
-        rho2=_restore_shape(r2, shape_like),
-    )
+    red = _reduced(cell.phase1.alpha, alpha1=m1 / r1, rho1=r1, u=u_star, p=p,
+                   alpha2=m2 / r2, rho2=r2)
     return maxwellian(red, eos1, eos2)
 
 
@@ -147,23 +150,19 @@ def relax_projection(cell: MixtureCell, eos1: EosParams, eos2: EosParams) -> Mix
     """One-shot equilibration through the kernel projection of the linearized
     relaxation source, built from the pre-relaxation state."""
     a1, a2, rho1, u1, p1, rho2, u2, p2 = _phase_arrays(cell, eos1, eos2)
-    shape_like = cell.phase1.alpha
     _require_both_phases(a1, a2)
-    c1sq = sound_speed(rho1, p1, eos1) ** 2
-    c2sq = sound_speed(rho2, p2, eos2) ** 2
-    d = a1 * rho2 * c2sq + a2 * rho1 * c1sq
+    c1sq, c2sq, d, m1, m2 = _acoustic_coefficients(a1, a2, rho1, p1, rho2, p2, eos1, eos2)
     if np.any(d <= 0.0) or not np.all(np.isfinite(d)):
         raise InvalidStateError("degenerate acoustic impedances in projection relaxation")
-    m1 = a1 * rho1
-    m2 = a2 * rho2
     dp = p1 - p2
-    red = ReducedEquilibrium(
-        alpha1=_restore_shape(a1 + a1 * a2 * dp / d, shape_like),
-        rho1=_restore_shape(rho1 - a2 * rho1 * dp / d, shape_like),
-        u=_restore_shape((m1 * u1 + m2 * u2) / (m1 + m2), shape_like),
-        p=_restore_shape((a1 * rho2 * c2sq * p1 + a2 * rho1 * c1sq * p2) / d, shape_like),
-        alpha2=_restore_shape(a2 - a1 * a2 * dp / d, shape_like),
-        rho2=_restore_shape(rho2 + a1 * rho2 * dp / d, shape_like),
+    red = _reduced(
+        cell.phase1.alpha,
+        alpha1=a1 + a1 * a2 * dp / d,
+        rho1=rho1 - a2 * rho1 * dp / d,
+        u=(m1 * u1 + m2 * u2) / (m1 + m2),
+        p=(a1 * rho2 * c2sq * p1 + a2 * rho1 * c1sq * p2) / d,
+        alpha2=a2 - a1 * a2 * dp / d,
+        rho2=rho2 + a1 * rho2 * dp / d,
     )
     return maxwellian(red, eos1, eos2)
 
@@ -174,11 +173,7 @@ def projection_matrix(cell: MixtureCell, eos1: EosParams, eos2: EosParams) -> np
     (alpha1, rho1, u1, p1, alpha2, rho2, u2, p2) to reduced variables.
     Batched cells give shape (..., 6, 8)."""
     a1, a2, rho1, _, p1, rho2, _, p2 = _phase_arrays(cell, eos1, eos2)
-    c1sq = sound_speed(rho1, p1, eos1) ** 2
-    c2sq = sound_speed(rho2, p2, eos2) ** 2
-    d = a1 * rho2 * c2sq + a2 * rho1 * c1sq
-    m1 = a1 * rho1
-    m2 = a2 * rho2
+    c1sq, c2sq, d, m1, m2 = _acoustic_coefficients(a1, a2, rho1, p1, rho2, p2, eos1, eos2)
     pi = np.zeros(a1.shape + (6, 8))
     pi[..., 0, 0] = 1.0
     pi[..., 0, 3] = a1 * a2 / d
@@ -215,8 +210,7 @@ def kernel_range_vectors(cell: MixtureCell, eos1: EosParams, eos2: EosParams):
     relaxation source; the projection matrix annihilates both.
     Batched cells give shapes (..., 8)."""
     a1, a2, rho1, _, p1, rho2, _, p2 = _phase_arrays(cell, eos1, eos2)
-    c1sq = sound_speed(rho1, p1, eos1) ** 2
-    c2sq = sound_speed(rho2, p2, eos2) ** 2
+    c1sq, c2sq, _, _, _ = _acoustic_coefficients(a1, a2, rho1, p1, rho2, p2, eos1, eos2)
     zeros = np.zeros_like(a1)
     v1 = np.stack([np.ones_like(a1), -rho1 / a1, zeros, -rho1 * c1sq / a1,
                    -np.ones_like(a1), rho2 / a2, zeros, rho2 * c2sq / a2], axis=-1)

@@ -15,8 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .eos import EosParams, internal_energy, sound_speed
-from .errors import InvalidStateError, SolverError
+from .eos import EosParams, _check_admissible, internal_energy, sound_speed
+from .errors import InvalidStateError, SolverError, _prefixed
 from .state import Primitive
 
 
@@ -276,9 +276,13 @@ def exact_rp(left: Primitive, right: Primitive, eos_left: EosParams,
 
     Newton iteration on the monotone pressure function (shock and rarefaction
     branches per side), started from a two-rarefaction estimate and safeguarded
-    by bisection on a bracketing interval. Vacuum formation (no root with both
+    by bisection on a bracketing interval. An inadmissible side raises
+    InvalidStateError naming the side; vacuum formation (no root with both
     shifted pressures positive) raises SolverError.
     """
+    for side, v, eos in (("left", left, eos_left), ("right", right, eos_right)):
+        with _prefixed(f"{side} state"):
+            _check_admissible(v.rho, v.p, eos)
     sl = _Side(left, eos_left)
     sr = _Side(right, eos_right)
     du = sr.u - sl.u

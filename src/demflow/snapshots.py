@@ -7,7 +7,7 @@ snapshot and the appropriate exact Riemann solution, sampling the latter as
 cell averages (finite-volume cells hold averages, not point values).
 """
 
-import io
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +16,7 @@ from .config import RunConfig, preset_config
 from .errors import ConfigError
 from .regime import RNG_ALGORITHM
 from .riemann import exact_rp
-from .state import Primitive, cons_to_prim, mixture_quantities
+from .state import Primitive, _mixture, cons_to_prim
 
 SNAPSHOT_COLUMNS = (
     "x", "alpha1", "rho1", "u1", "p1", "rho2", "u2", "p2",
@@ -52,32 +52,20 @@ def snapshot_table(grid, regime_values, eos1, eos2) -> np.ndarray:
     cells = grid.cells
     v1 = cons_to_prim(cells.phase1.cons, eos1)
     v2 = cons_to_prim(cells.phase2.cons, eos2)
-    rho_mix, u_mix, p_mix = mixture_quantities(cells, eos1, eos2)
-    columns = [
-        grid.cell_centers(),
-        np.asarray(cells.phase1.alpha, dtype=float),
-        np.asarray(v1.rho, dtype=float), np.asarray(v1.u, dtype=float),
-        np.asarray(v1.p, dtype=float),
-        np.asarray(v2.rho, dtype=float), np.asarray(v2.u, dtype=float),
-        np.asarray(v2.p, dtype=float),
-        np.asarray(rho_mix, dtype=float), np.asarray(u_mix, dtype=float),
-        np.asarray(p_mix, dtype=float),
-        np.asarray(regime_values, dtype=float)[:-1],
-    ]
-    return np.column_stack(columns)
+    rho_mix, u_mix, p_mix = _mixture(cells.phase1.alpha, v1, cells.phase2.alpha, v2)
+    columns = (grid.cell_centers(), cells.phase1.alpha, v1.rho, v1.u, v1.p,
+               v2.rho, v2.u, v2.p, rho_mix, u_mix, p_mix, np.asarray(regime_values)[:-1])
+    return np.column_stack([np.asarray(c, dtype=float) for c in columns])
 
 
 def write_snapshot(path, grid, t, regime_values, meta: dict, eos1, eos2):
     """Write one snapshot; meta rows come first as '# key=value' lines."""
     table = snapshot_table(grid, regime_values, eos1, eos2)
-    buf = io.StringIO()
-    for key, value in meta.items():
-        buf.write(f"# {key}={value}\n")
-    buf.write(",".join(SNAPSHOT_COLUMNS) + "\n")
-    for row in table:
-        buf.write(",".join(_fmt(v) for v in row) + "\n")
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(buf.getvalue())
+        for key, value in meta.items():
+            handle.write(f"# {key}={value}\n")
+        handle.write(",".join(SNAPSHOT_COLUMNS) + "\n")
+        np.savetxt(handle, table, fmt="%.17g", delimiter=",")
 
 
 def read_snapshot(path):
@@ -96,10 +84,13 @@ def read_snapshot(path):
         if names != SNAPSHOT_COLUMNS:
             raise ConfigError(f"unexpected snapshot columns {names!r}")
         try:
-            data = np.loadtxt(handle, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():
+                # an empty table is reported below, not as numpy's UserWarning
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(handle, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise ConfigError(f"malformed snapshot table in {path}: {exc}") from None
-    if data.shape[1] != len(SNAPSHOT_COLUMNS):
+    if data.shape[0] == 0 or data.shape[1] != len(SNAPSHOT_COLUMNS):
         raise ConfigError(f"malformed snapshot table in {path}")
     return meta, {name: data[:, j] for j, name in enumerate(SNAPSHOT_COLUMNS)}
 

@@ -8,8 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eos import EosParams, _first_bad_index, internal_energy, pressure_from_energy
-from .errors import InvalidStateError
+from .eos import (EosParams, _check_admissible, _first_bad_index, internal_energy,
+                  pressure_from_energy)
+from .errors import InvalidStateError, _prefixed
 
 # saturation condition alpha1 + alpha2 = 1 must hold to this absolute tolerance
 SATURATION_TOL = 1e-12
@@ -63,7 +64,9 @@ class MixtureCell:
 
 
 def prim_to_cons(v: Primitive, eos: EosParams) -> Conserved:
-    """Convert an admissible primitive state to conserved variables."""
+    """Convert a primitive state to conserved variables; rejects an
+    inadmissible state, naming the first offending cell."""
+    _check_admissible(v.rho, v.p, eos)
     e = internal_energy(v.rho, v.p, eos)
     return Conserved(
         mass=v.rho,
@@ -76,49 +79,48 @@ def cons_to_prim(c: Conserved, eos: EosParams) -> Primitive:
     """Invert prim_to_cons; rejects non-positive or non-finite density and
     inadmissible or non-finite reconstructed pressure, naming the first
     offending cell."""
-    idx = _first_bad_index(~(np.isfinite(c.mass) & (np.asarray(c.mass) > 0.0)))
-    if idx is not None:
-        raise InvalidStateError(
-            f"conserved state has non-positive or non-finite density at cell {idx}")
+    _check_admissible(c.mass, None, eos)
     u = c.momentum / c.mass
     e = c.energy / c.mass - 0.5 * u**2
     p = pressure_from_energy(c.mass, e, eos)
-    idx = _first_bad_index(~(np.isfinite(p) & (np.asarray(p) + eos.pi_inf > 0.0)))
-    if idx is not None:
-        raise InvalidStateError(
-            f"conserved state maps to inadmissible pressure at cell {idx}")
+    _check_admissible(None, p, eos)
     return Primitive(rho=c.mass, u=u, p=p)
 
 
-def mixture_quantities(cell: MixtureCell, eos1: EosParams, eos2: EosParams):
-    """Mixture density, mass-weighted velocity and volume-weighted pressure."""
-    v1 = cons_to_prim(cell.phase1.cons, eos1)
-    v2 = cons_to_prim(cell.phase2.cons, eos2)
-    a1 = cell.phase1.alpha
-    a2 = cell.phase2.alpha
+def _check_fraction(alpha):
+    """The volume-fraction range test 0 <= alpha <= 1 (NaN fails); raises
+    InvalidStateError naming the first offending cell."""
+    a = np.asarray(alpha)
+    idx = _first_bad_index(~((a >= 0.0) & (a <= 1.0)))
+    if idx is not None:
+        raise InvalidStateError(f"volume fraction left [0, 1] at cell {idx}")
+
+
+def _mixture(a1, v1, a2, v2):
     rho_mix = a1 * v1.rho + a2 * v2.rho
     u_mix = (a1 * v1.rho * v1.u + a2 * v2.rho * v2.u) / rho_mix
     p_mix = a1 * v1.p + a2 * v2.p
     return rho_mix, u_mix, p_mix
 
 
+def mixture_quantities(cell: MixtureCell, eos1: EosParams, eos2: EosParams):
+    """Mixture density, mass-weighted velocity and volume-weighted pressure."""
+    return _mixture(cell.phase1.alpha, cons_to_prim(cell.phase1.cons, eos1),
+                    cell.phase2.alpha, cons_to_prim(cell.phase2.cons, eos2))
+
+
 def validate_mixture(cell: MixtureCell, eos1: EosParams, eos2: EosParams, context=""):
-    """Check saturation and per-phase admissibility; raise InvalidStateError
-    naming the first offending cell index and phase."""
+    """Check volume-fraction ranges, saturation and per-phase admissibility;
+    raise InvalidStateError naming the first offending cell index and phase."""
     where = f" ({context})" if context else ""
-    a1 = np.asarray(cell.phase1.alpha, dtype=float)
-    a2 = np.asarray(cell.phase2.alpha, dtype=float)
-    for label, a in (("1", a1), ("2", a2)):
-        idx = _first_bad_index((a < 0.0) | (a > 1.0) | ~np.isfinite(a))
-        if idx is not None:
-            raise InvalidStateError(
-                f"volume fraction of phase {label} left [0, 1] at cell {idx}{where}"
-            )
-    idx = _first_bad_index(np.abs(a1 + a2 - 1.0) > SATURATION_TOL)
+    phases = ((1, cell.phase1, eos1), (2, cell.phase2, eos2))
+    for label, phase, _ in phases:
+        with _prefixed(f"phase {label}", where):
+            _check_fraction(phase.alpha)
+    idx = _first_bad_index(np.abs(cell.phase1.alpha + cell.phase2.alpha - 1.0)
+                           > SATURATION_TOL)
     if idx is not None:
         raise InvalidStateError(f"saturation violated at cell {idx}{where}")
-    for label, phase, eos in (("1", cell.phase1, eos1), ("2", cell.phase2, eos2)):
-        try:
+    for label, phase, eos in phases:
+        with _prefixed(f"phase {label}", where):
             cons_to_prim(phase.cons, eos)
-        except InvalidStateError as exc:
-            raise InvalidStateError(f"phase {label}: {exc}{where}") from None

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -314,6 +316,13 @@ def test_cli_riemann_query(capsys):
     assert "right wave: shock" in out
 
 
+def test_cli_riemann_rejects_inadmissible_side(capsys):
+    assert main(["riemann", "1,0,-1", "0.125,0,0.1"]) == 1
+    assert "error: left state: pressure below" in capsys.readouterr().err
+    assert main(["riemann", "1,0,1", "0.125,0,-0.1"]) == 1
+    assert "error: right state: pressure below" in capsys.readouterr().err
+
+
 def test_cli_sweep_r(tmp_path):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(MINIMAL)
@@ -351,6 +360,15 @@ def test_cli_compare_rejects_malformed_snapshot(tmp_path, capsys):
             read_snapshot(bad)
         assert main(["compare", str(bad), "phases:t1_uniform_vf"]) == 1
         assert f"{tag}.csv" in capsys.readouterr().err
+
+
+def test_read_snapshot_header_only_raises_config_error(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("# t=0\n" + ",".join(SNAPSHOT_COLUMNS) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="malformed snapshot table"):
+            read_snapshot(path)
 
 
 def test_cli_preset_list(capsys):

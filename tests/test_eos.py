@@ -4,6 +4,7 @@ import pytest
 from demflow.eos import (EosParams, de_dp, de_drho, internal_energy,
                          pressure_from_energy, sound_speed)
 from demflow.errors import InvalidStateError
+from demflow.state import Primitive, prim_to_cons
 
 GAS = EosParams(gamma=1.4, pi_inf=0.0)
 LIQUID = EosParams(gamma=4.4, pi_inf=6.0e8)
@@ -29,12 +30,14 @@ def test_internal_energy_liquid_hand_value():
 
 
 def test_internal_energy_rejects_admissibility_boundary():
+    # the EOS formulas check nothing; a state is checked where it enters,
+    # here prim_to_cons, before its internal energy is taken.
     # p chosen so p + pi_inf < 0 (and in particular p + gamma*pi = 0)
     p_bad = -LIQUID.gamma * LIQUID.pi_inf
     with pytest.raises(InvalidStateError):
-        internal_energy(1000.0, p_bad, LIQUID)
+        prim_to_cons(Primitive(1000.0, 0.0, p_bad), LIQUID)
     with pytest.raises(InvalidStateError):
-        internal_energy(-1.0, 1e5, GAS)
+        prim_to_cons(Primitive(-1.0, 0.0, 1e5), GAS)
 
 
 def test_pressure_from_energy_inverts_hand_value():

@@ -159,3 +159,8 @@ def test_alpha_pair_validation():
         AlphaPair(-0.1, 0.5)
     with pytest.raises(InvalidStateError):
         AlphaPair(0.5, 1.1)
+
+
+def test_alpha_pair_errors_name_side_and_cell():
+    with pytest.raises(InvalidStateError, match=r"^alpha_right: .* at cell 2$"):
+        AlphaPair(np.full(4, 0.5), np.array([0.5, 0.5, np.nan, 0.5]))

@@ -7,8 +7,8 @@ from demflow.relaxation import (ReducedEquilibrium, kernel_range_vectors,
                                 maxwellian, projection_matrix, reduce_equilibrium,
                                 reduced_jacobian, relax_continuous,
                                 relax_projection)
-from demflow.state import (MixtureCell, PhaseCellState, Primitive, cons_to_prim,
-                           mixture_quantities, prim_to_cons)
+from demflow.state import (Conserved, MixtureCell, PhaseCellState, Primitive,
+                           cons_to_prim, mixture_quantities, prim_to_cons)
 
 GAS = EosParams(1.4, 0.0)
 LIQUID = EosParams(4.4, 6.0e8)
@@ -185,6 +185,29 @@ def test_relaxation_errors_name_cell_and_phase():
     with np.errstate(over="ignore"), pytest.raises(
             InvalidStateError, match=r"discriminant inf at cell 2; .* = \(0\.4, 30, 0, 1e\+300, 0\.6,"):
         relax_continuous(cell, GAS, LIQUID)
+
+
+def test_relaxer_recovery_errors_name_phase_and_cell():
+    cell = make_cell(np.full(6, 0.4), Primitive(np.full(6, 30.0), np.zeros(6), np.full(6, 3e6)),
+                     Primitive(np.full(6, 900.0), np.zeros(6), np.full(6, 3e6)))
+    # liquid energy below the kinetic energy of its momentum at cell 3
+    momentum = np.array(cell.phase2.cons.momentum, dtype=float)
+    momentum[3] = 1e9
+    cell = MixtureCell(cell.phase1, PhaseCellState(cell.phase2.alpha, Conserved(
+        cell.phase2.cons.mass, momentum, cell.phase2.cons.energy)))
+    for relax in (relax_continuous, relax_projection):
+        with pytest.raises(InvalidStateError, match=r"^phase 2: .* at cell 3$"):
+            relax(cell, GAS, LIQUID)
+
+
+def test_maxwellian_volume_fraction_errors_name_phase_and_cell():
+    alpha1 = np.array([0.5, 0.5, 1.5])
+    red = ReducedEquilibrium(alpha1=alpha1, rho1=np.full(3, 1.0), u=np.zeros(3),
+                             p=np.full(3, 1e5), alpha2=1.0 - alpha1,
+                             rho2=np.full(3, 1000.0))
+    with pytest.raises(InvalidStateError,
+                       match=r"^phase 1: volume fraction left \[0, 1\] at cell 2$"):
+        maxwellian(red, GAS, LIQUID)
 
 
 def test_maxwellian_errors_name_phase_and_cell():
