@@ -90,9 +90,23 @@ def parse_config(text: str) -> RunConfig:
 
 
 def preset_config(name: str, overrides=()) -> RunConfig:
-    """Expand a named preset, optionally overriding keys ('key=value' strings)."""
-    lines = [f"preset={name}", *overrides]
-    return parse_config("\n".join(lines))
+    """Expand a named preset, optionally overriding keys ('key=value' strings).
+    The text parsed here is built, not written by the user, so an error names
+    the override it comes from instead of a line number."""
+    lines, origin = [], []
+    for source, text in ((None, f"preset={name}"),
+                         *((f"override {o}", o) for o in overrides)):
+        pieces = text.splitlines() or [""]
+        lines += pieces
+        origin += [source] * len(pieces)
+    try:
+        return parse_config("\n".join(lines))
+    except ConfigError as exc:
+        if exc.line is None:
+            raise
+        source = origin[exc.line - 1]
+        raise ConfigError(exc.reason if source is None
+                          else f"{source}: {exc.reason}") from None
 
 
 def available_presets():

@@ -37,19 +37,29 @@ def _first_bad_index(mask):
     return int(flat[0]) if flat.size else None
 
 
+def _at_cell(bad):
+    """' at cell i' naming the first True entry of the mask `bad`; '' for a
+    scalar state, which has no cell index."""
+    return f" at cell {_first_bad_index(bad)}" if np.ndim(bad) else ""
+
+
 def _check_admissible(rho, p, eos):
     """The admissibility test: finite rho > 0 and finite p + pi_inf > 0; raises
     InvalidStateError naming the first offending cell. Either may be None to
-    test the other alone (cons_to_prim checks rho before it divides by it)."""
+    test the other alone (cons_to_prim checks rho before it divides by it).
+    Each test is one min and one max (a NaN propagates through both); the
+    mask naming the cell is built only for a state that fails."""
     if rho is not None:
-        idx = _first_bad_index(~(np.isfinite(rho) & (np.asarray(rho) > 0.0)))
-        if idx is not None:
-            raise InvalidStateError(f"non-positive or non-finite density at cell {idx}")
+        r = np.asarray(rho)
+        if r.size and not (r.min() > 0.0 and r.max() < np.inf):
+            raise InvalidStateError("non-positive or non-finite density"
+                                    + _at_cell(~(np.isfinite(r) & (r > 0.0))))
     if p is not None:
-        idx = _first_bad_index(~(np.isfinite(p) & (np.asarray(p) + eos.pi_inf > 0.0)))
-        if idx is not None:
-            raise InvalidStateError("pressure below stiffened-gas admissibility limit "
-                                    f"(p + pi_inf <= 0) or non-finite pressure at cell {idx}")
+        q = np.asarray(p)
+        if q.size and not (q.min() + eos.pi_inf > 0.0 and q.max() < np.inf):
+            raise InvalidStateError(
+                "pressure below stiffened-gas admissibility limit (p + pi_inf <= 0) "
+                "or non-finite pressure" + _at_cell(~(np.isfinite(q) & (q + eos.pi_inf > 0.0))))
 
 
 def internal_energy(rho, p, eos):

@@ -16,13 +16,13 @@ class SolverError(DemflowError):
 
 
 class ConfigError(DemflowError):
-    """A run configuration is malformed or inconsistent."""
+    """A run configuration is malformed or inconsistent; `line` is the
+    offending line of the config text and `reason` the message without it."""
 
     def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
+        self.reason = message
 
 
 @contextmanager

@@ -16,7 +16,7 @@ import numpy as np
 
 from .eos import EosParams, _first_bad_index, internal_energy, sound_speed
 from .errors import InvalidStateError, _prefixed
-from .state import (MixtureCell, PhaseCellState, Primitive, _check_fraction, cons_to_prim,
+from .state import (MixtureCell, PhaseCellState, Primitive, _check_fraction, phase_primitives,
                     prim_to_cons)
 
 
@@ -47,8 +47,7 @@ def maxwellian(red: ReducedEquilibrium, eos1: EosParams, eos2: EosParams) -> Mix
 def reduce_equilibrium(cell: MixtureCell, eos1: EosParams, eos2: EosParams) -> ReducedEquilibrium:
     """Project a cell onto reduced variables (mass-weighted velocity,
     volume-weighted pressure); inverse of maxwellian on equilibrium cells."""
-    v1 = cons_to_prim(cell.phase1.cons, eos1)
-    v2 = cons_to_prim(cell.phase2.cons, eos2)
+    v1, v2 = phase_primitives(cell, eos1, eos2)
     a1, a2 = cell.phase1.alpha, cell.phase2.alpha
     m1, m2 = a1 * v1.rho, a2 * v2.rho
     return ReducedEquilibrium(
@@ -62,10 +61,7 @@ def reduce_equilibrium(cell: MixtureCell, eos1: EosParams, eos2: EosParams) -> R
 def _phase_arrays(cell, eos1, eos2):
     a1 = np.atleast_1d(np.asarray(cell.phase1.alpha, dtype=float))
     a2 = np.atleast_1d(np.asarray(cell.phase2.alpha, dtype=float))
-    with _prefixed("phase 1"):
-        v1 = cons_to_prim(cell.phase1.cons, eos1)
-    with _prefixed("phase 2"):
-        v2 = cons_to_prim(cell.phase2.cons, eos2)
+    v1, v2 = phase_primitives(cell, eos1, eos2)
     prims = [np.atleast_1d(np.asarray(x, dtype=float))
              for x in (v1.rho, v1.u, v1.p, v2.rho, v2.u, v2.p)]
     return (a1, a2, *prims)

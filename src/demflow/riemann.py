@@ -39,8 +39,8 @@ def thermo_state(v: Primitive, eos: EosParams) -> ThermoState:
     rho, u, p = (np.asarray(x, dtype=float) for x in (v.rho, v.u, v.p))
     E = internal_energy(rho, p, eos) + 0.5 * u**2
     rho_E = rho * E
-    U = np.stack(np.broadcast_arrays(rho, rho * u, rho_E))
-    F = np.stack(np.broadcast_arrays(rho * u, rho * u**2 + p, u * (rho_E + p)))
+    U = np.array(np.broadcast_arrays(rho, rho * u, rho_E))
+    F = np.array(np.broadcast_arrays(rho * u, rho * u**2 + p, u * (rho_E + p)))
     return ThermoState(rho, u, p, sound_speed(rho, p, eos), E, U, F)
 
 
@@ -70,7 +70,7 @@ def hllc(left: ThermoState, right: ThermoState) -> RiemannFan:
 
     s_l = np.minimum(ul - al, ur - ar)
     s_r = np.maximum(ul + al, ur + ar)
-    if np.any(~(s_l < s_r)):
+    if not (s_l < s_r).all():
         raise SolverError("HLLC wave speed estimates crossed (vacuum-adjacent states)")
 
     # signed mass fluxes through the outer waves; q_l < 0 < q_r
@@ -78,28 +78,22 @@ def hllc(left: ThermoState, right: ThermoState) -> RiemannFan:
     q_r = rr * (s_r - ur)
     sigma = (pr - pl + ul * q_l - ur * q_r) / (q_l - q_r)
     p_star = pl + q_l * (sigma - ul)
-    if np.any(~((s_l <= sigma) & (sigma <= s_r))):
+    if not ((s_l <= sigma) & (sigma <= s_r)).all():
         raise SolverError("HLLC contact speed left the wave fan")
 
-    fac_l = rl * (s_l - ul) / (s_l - sigma)
-    fac_r = rr * (s_r - ur) / (s_r - sigma)
-    U_star_l = np.stack(np.broadcast_arrays(
-        fac_l,
-        fac_l * sigma,
-        fac_l * (left.E + (sigma - ul) * (sigma + pl / q_l)),
-    ))
-    U_star_r = np.stack(np.broadcast_arrays(
-        fac_r,
-        fac_r * sigma,
-        fac_r * (right.E + (sigma - ur) * (sigma + pr / q_r)),
-    ))
-    F_star_l = left.F + s_l * (U_star_l - left.U)
-    F_star_r = right.F + s_r * (U_star_r - right.U)
+    def star_flux(side, s, q):
+        # F*_K = F_K + s_K (U*_K - U_K); every term has sigma's shape
+        fac = q / (s - sigma)
+        U_star = np.array([fac, fac * sigma,
+                           fac * (side.E + (sigma - side.u) * (sigma + side.p / q))])
+        return side.F + s * (U_star - side.U)
 
-    # sample at x/t = 0; the contact at exactly 0 takes the left star state
+    # sample at x/t = 0; the contact at exactly 0 takes the left star state.
+    # Both star fluxes are built: gathering one side's operands under the
+    # contact-side mask costs more where the sign of sigma alternates.
     flux0 = np.where(s_l >= 0.0, left.F,
-                     np.where(sigma >= 0.0, F_star_l,
-                              np.where(s_r >= 0.0, F_star_r, right.F)))
+                     np.where(sigma >= 0.0, star_flux(left, s_l, q_l),
+                              np.where(s_r >= 0.0, star_flux(right, s_r, q_r), right.F)))
     return RiemannFan(
         flux0=flux0,
         sigma=sigma,
@@ -114,7 +108,7 @@ def lagrangian_flux(fan: RiemannFan):
     mass component. Side-independent because both star states share p* and
     sigma, shape (3, ...)."""
     p_star = np.asarray(fan.p_star, dtype=float)
-    return np.stack(np.broadcast_arrays(
+    return np.array(np.broadcast_arrays(
         np.zeros_like(p_star),
         p_star,
         p_star * fan.sigma,

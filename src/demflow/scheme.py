@@ -19,7 +19,7 @@ from .regime import RegimeField, StochasticRegime, UniformRandomRegime, init_fie
 from .relaxation import relax_continuous, relax_projection
 from .riemann import RiemannFan, ThermoState, hllc, lagrangian_flux, thermo_state
 from .state import (Conserved, MixtureCell, PhaseCellState, Primitive,
-                    cons_to_prim, prim_to_cons, validate_mixture)
+                    phase_primitives, prim_to_cons, validate_mixture)
 
 
 @dataclass(frozen=True)
@@ -73,24 +73,25 @@ def interface_fluxes(grid: Grid1D, regime: RegimeField, eos1, eos2) -> Interface
     """Solve the four phase-pairing Riemann problems at all n + 1 interfaces
     of the grid and attach the probability coefficients.
 
-    Primitives are recovered and the equation of state evaluated once per
-    phase, on the n cells edge-copied to n + 2; all four pairings read views
-    of those two records. Interface i sits between cells i - 1 and i; the two
-    outer interfaces see a copy of their edge cell (transmissive boundary)."""
+    Primitives come from phase_primitives (recovered once per cells object)
+    and the equation of state is evaluated once per phase, on the n cells
+    edge-copied to n + 2; all four pairings read views of those two records.
+    Interface i sits between cells i - 1 and i; the two outer interfaces see
+    a copy of their edge cell (transmissive boundary)."""
     if np.shape(regime.values) != (grid.n_cells + 1,):
         raise SolverError("regime field does not match the grid's interfaces")
 
     def edge_copy(x):
         return np.concatenate([x[:1], x, x[-1:]])
 
-    def side_records(phase, eos):
-        v = cons_to_prim(phase.cons, eos)
+    def side_records(v, eos):
         rec = thermo_state(Primitive(edge_copy(v.rho), edge_copy(v.u), edge_copy(v.p)), eos)
         return (ThermoState(*(x[..., :-1] for x in rec)),
                 ThermoState(*(x[..., 1:] for x in rec)))
 
-    t1_left, t1_right = side_records(grid.cells.phase1, eos1)
-    t2_left, t2_right = side_records(grid.cells.phase2, eos2)
+    v1, v2 = phase_primitives(grid.cells, eos1, eos2)
+    t1_left, t1_right = side_records(v1, eos1)
+    t2_left, t2_right = side_records(v2, eos2)
     alpha1 = edge_copy(np.asarray(grid.cells.phase1.alpha, dtype=float))
     fan_11 = hllc(t1_left, t1_right)
     fan_12 = hllc(t1_left, t2_right)
@@ -153,8 +154,7 @@ def volume_fraction_rhs(ifs: InterfaceFluxSet):
 def cfl_dt(grid: Grid1D, cfl, eos1, eos2) -> float:
     """Largest stable time step: cfl * dx / max(|u| + a) over cells and phases."""
     fastest = 0.0
-    for phase, eos in ((grid.cells.phase1, eos1), (grid.cells.phase2, eos2)):
-        v = cons_to_prim(phase.cons, eos)
+    for v, eos in zip(phase_primitives(grid.cells, eos1, eos2), (eos1, eos2)):
         fastest = max(fastest, float(np.max(np.abs(v.u) + sound_speed(v.rho, v.p, eos))))
     if not np.isfinite(fastest) or fastest <= 0.0:
         raise SolverError("non-finite wave speed in CFL estimate")

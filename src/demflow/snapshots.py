@@ -16,7 +16,7 @@ from .config import RunConfig, preset_config
 from .errors import ConfigError
 from .regime import RNG_ALGORITHM
 from .riemann import exact_rp
-from .state import Primitive, _mixture, cons_to_prim
+from .state import Primitive, _mixture, phase_primitives
 
 SNAPSHOT_COLUMNS = (
     "x", "alpha1", "rho1", "u1", "p1", "rho2", "u2", "p2",
@@ -25,6 +25,11 @@ SNAPSHOT_COLUMNS = (
 
 # midpoint sub-samples per cell when averaging the exact solution
 ORACLE_SUBSAMPLES = 9
+
+# one table row as written; rows go out in blocks of _WRITE_BLOCK, which only
+# bounds the text held in memory at once
+_ROW_FORMAT = ",".join(["%.17g"] * len(SNAPSHOT_COLUMNS)) + "\n"
+_WRITE_BLOCK = 4096
 
 
 def _fmt(v):
@@ -50,8 +55,7 @@ def snapshot_meta(config: RunConfig, t: float) -> dict:
 def snapshot_table(grid, regime_values, eos1, eos2) -> np.ndarray:
     """Assemble the 12 snapshot columns, shape (n_cells, 12)."""
     cells = grid.cells
-    v1 = cons_to_prim(cells.phase1.cons, eos1)
-    v2 = cons_to_prim(cells.phase2.cons, eos2)
+    v1, v2 = phase_primitives(cells, eos1, eos2)
     rho_mix, u_mix, p_mix = _mixture(cells.phase1.alpha, v1, cells.phase2.alpha, v2)
     columns = (grid.cell_centers(), cells.phase1.alpha, v1.rho, v1.u, v1.p,
                v2.rho, v2.u, v2.p, rho_mix, u_mix, p_mix, np.asarray(regime_values)[:-1])
@@ -65,7 +69,9 @@ def write_snapshot(path, grid, t, regime_values, meta: dict, eos1, eos2):
         for key, value in meta.items():
             handle.write(f"# {key}={value}\n")
         handle.write(",".join(SNAPSHOT_COLUMNS) + "\n")
-        np.savetxt(handle, table, fmt="%.17g", delimiter=",")
+        for start in range(0, len(table), _WRITE_BLOCK):
+            block = table[start:start + _WRITE_BLOCK]
+            handle.write((_ROW_FORMAT * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_snapshot(path):

@@ -8,8 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eos import (EosParams, _check_admissible, _first_bad_index, internal_energy,
-                  pressure_from_energy)
+from .eos import EosParams, _at_cell, _check_admissible, internal_energy, pressure_from_energy
 from .errors import InvalidStateError, _prefixed
 
 # saturation condition alpha1 + alpha2 = 1 must hold to this absolute tolerance
@@ -35,7 +34,7 @@ class Conserved:
 
     def as_array(self):
         """Stack into shape (3, ...) for flux arithmetic."""
-        return np.stack(np.broadcast_arrays(
+        return np.array(np.broadcast_arrays(
             np.asarray(self.mass, dtype=float),
             np.asarray(self.momentum, dtype=float),
             np.asarray(self.energy, dtype=float),
@@ -57,7 +56,12 @@ class PhaseCellState:
 
 @dataclass(frozen=True)
 class MixtureCell:
-    """Two saturated phases sharing one cell: alpha1 + alpha2 = 1."""
+    """Two saturated phases sharing one cell: alpha1 + alpha2 = 1.
+
+    A cells object is never modified: nothing in the package writes to its
+    arrays in place, and each update builds a new object. phase_primitives
+    relies on this to keep the recovered primitives on the object.
+    """
 
     phase1: PhaseCellState
     phase2: PhaseCellState
@@ -88,12 +92,28 @@ def cons_to_prim(c: Conserved, eos: EosParams) -> Primitive:
 
 
 def _check_fraction(alpha):
-    """The volume-fraction range test 0 <= alpha <= 1 (NaN fails); raises
-    InvalidStateError naming the first offending cell."""
+    """The volume-fraction range test 0 <= alpha <= 1 (NaN fails) as one min
+    and one max; raises InvalidStateError naming the first offending cell."""
     a = np.asarray(alpha)
-    idx = _first_bad_index(~((a >= 0.0) & (a <= 1.0)))
-    if idx is not None:
-        raise InvalidStateError(f"volume fraction left [0, 1] at cell {idx}")
+    if a.size and not (a.min() >= 0.0 and a.max() <= 1.0):
+        raise InvalidStateError("volume fraction left [0, 1]"
+                                + _at_cell(~((a >= 0.0) & (a <= 1.0))))
+
+
+def phase_primitives(cell: MixtureCell, eos1: EosParams, eos2: EosParams):
+    """Both phases' primitives (v1, v2), recovered by cons_to_prim, which also
+    checks them, once per cells object and EOS pair. The pair is kept on the
+    object, as functools.cached_property does, so CFL, fluxes, relaxation and
+    snapshots read the recovery of the validation that made the cells."""
+    cache = cell.__dict__.setdefault("_primitives", {})
+    key = (eos1, eos2)
+    if key not in cache:
+        prims = []
+        for label, phase, eos in ((1, cell.phase1, eos1), (2, cell.phase2, eos2)):
+            with _prefixed(f"phase {label}"):
+                prims.append(cons_to_prim(phase.cons, eos))
+        cache[key] = tuple(prims)
+    return cache[key]
 
 
 def _mixture(a1, v1, a2, v2):
@@ -105,22 +125,22 @@ def _mixture(a1, v1, a2, v2):
 
 def mixture_quantities(cell: MixtureCell, eos1: EosParams, eos2: EosParams):
     """Mixture density, mass-weighted velocity and volume-weighted pressure."""
-    return _mixture(cell.phase1.alpha, cons_to_prim(cell.phase1.cons, eos1),
-                    cell.phase2.alpha, cons_to_prim(cell.phase2.cons, eos2))
+    v1, v2 = phase_primitives(cell, eos1, eos2)
+    return _mixture(cell.phase1.alpha, v1, cell.phase2.alpha, v2)
 
 
 def validate_mixture(cell: MixtureCell, eos1: EosParams, eos2: EosParams, context=""):
     """Check volume-fraction ranges, saturation and per-phase admissibility;
-    raise InvalidStateError naming the first offending cell index and phase."""
+    raise InvalidStateError naming the first offending cell index and phase.
+    Returns the phases' primitives (v1, v2) (see phase_primitives)."""
     where = f" ({context})" if context else ""
-    phases = ((1, cell.phase1, eos1), (2, cell.phase2, eos2))
-    for label, phase, _ in phases:
+    for label, phase in ((1, cell.phase1), (2, cell.phase2)):
         with _prefixed(f"phase {label}", where):
             _check_fraction(phase.alpha)
-    idx = _first_bad_index(np.abs(cell.phase1.alpha + cell.phase2.alpha - 1.0)
-                           > SATURATION_TOL)
-    if idx is not None:
-        raise InvalidStateError(f"saturation violated at cell {idx}{where}")
-    for label, phase, eos in phases:
-        with _prefixed(f"phase {label}", where):
-            cons_to_prim(phase.cons, eos)
+    unsaturated = np.abs(cell.phase1.alpha + cell.phase2.alpha - 1.0) > SATURATION_TOL
+    if np.any(unsaturated):
+        raise InvalidStateError("saturation violated" + _at_cell(unsaturated) + where)
+    try:
+        return phase_primitives(cell, eos1, eos2)
+    except InvalidStateError as exc:
+        raise InvalidStateError(f"{exc}{where}") from None

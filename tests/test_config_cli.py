@@ -1,8 +1,10 @@
+import io
 import warnings
 
 import numpy as np
 import pytest
 
+from demflow import snapshots
 from demflow.cli import main
 from demflow.config import (EPS_VF, PhaseSideInit, available_presets,
                             parse_config, preset_config)
@@ -86,8 +88,9 @@ def test_volume_fraction_floor_enforced():
 
 def test_inadmissible_state_rejected():
     bad = MINIMAL.replace("left_p2 = 1e6", "left_p2 = -7e8")
-    with pytest.raises(ConfigError, match="inadmissible"):
+    with pytest.raises(ConfigError, match="inadmissible") as info:
         parse_config(bad)
+    assert "at cell" not in str(info.value)
 
 
 def test_preset_t1_matches_reference_data():
@@ -317,10 +320,27 @@ def test_cli_riemann_query(capsys):
 
 
 def test_cli_riemann_rejects_inadmissible_side(capsys):
-    assert main(["riemann", "1,0,-1", "0.125,0,0.1"]) == 1
-    assert "error: left state: pressure below" in capsys.readouterr().err
-    assert main(["riemann", "1,0,1", "0.125,0,-0.1"]) == 1
-    assert "error: right state: pressure below" in capsys.readouterr().err
+    # a single state has no cell index to report
+    for left, right, expected in (("1,0,-1", "0.125,0,0.1", "left state: pressure below"),
+                                  ("1,0,1", "0.125,0,-0.1", "right state: pressure below"),
+                                  ("1,0,1", "0,0,0.1", "right state: non-positive or "
+                                                       "non-finite density")):
+        assert main(["riemann", left, right]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {expected}" in err and "at cell" not in err
+
+
+def test_cli_override_errors_name_the_override(capsys):
+    # the text preset_config parses is built from the overrides; its line
+    # numbers mean nothing to the user
+    assert main(["preset", "t1_uniform_vf", "--override", "left_p2=-7e8"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: override left_p2=-7e8: left phase 2 state inadmissible")
+    assert "line " not in err and "at cell" not in err
+    assert main(["preset", "t1_uniform_vf", "--override", "t_end=1e-6",
+                 "--override", "n_cells=abc"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: override n_cells=abc: cannot parse n_cells='abc'\n"
 
 
 def test_cli_sweep_r(tmp_path):
@@ -360,6 +380,25 @@ def test_cli_compare_rejects_malformed_snapshot(tmp_path, capsys):
             read_snapshot(bad)
         assert main(["compare", str(bad), "phases:t1_uniform_vf"]) == 1
         assert f"{tag}.csv" in capsys.readouterr().err
+
+
+def test_write_snapshot_rows_match_savetxt(tmp_path, monkeypatch):
+    # block-formatted rows are byte for byte what np.savetxt writes, across
+    # block boundaries and for signed zeros, subnormals and extreme exponents
+    rng = np.random.default_rng(5)
+    rows = 2 * snapshots._WRITE_BLOCK + 3
+    table = rng.standard_normal((rows, len(SNAPSHOT_COLUMNS))) * 10.0 ** rng.integers(
+        -300, 300, (rows, len(SNAPSHOT_COLUMNS)))
+    table[0, :4] = (-0.0, 0.0, 5e-324, -1.7976931348623157e308)
+    monkeypatch.setattr(snapshots, "snapshot_table", lambda *args: table)
+    path = tmp_path / "rows.csv"
+    write_snapshot(path, None, 0.0, None, {"t": "0"}, None, None)
+    expected = io.StringIO()
+    np.savetxt(expected, table, fmt="%.17g", delimiter=",")
+    header = "# t=0\n" + ",".join(SNAPSHOT_COLUMNS) + "\n"
+    assert path.read_text() == header + expected.getvalue()
+    _, data = read_snapshot(path)
+    assert np.column_stack([data[c] for c in SNAPSHOT_COLUMNS]).tobytes() == table.tobytes()
 
 
 def test_read_snapshot_header_only_raises_config_error(tmp_path):

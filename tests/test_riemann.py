@@ -142,6 +142,63 @@ def test_hllc_converges_to_acoustic_for_near_equal_states():
         assert abs(fan.p_star - ac.p_star) < 10.0 * delta * ac.p_star
 
 
+
+def four_branch_flux0(left, right):
+    """Reference HLLC sampler: both star states and both star fluxes built at
+    every interface, then one of four branches kept (the contact at exactly
+    0 takes the left star state)."""
+    s_l = np.minimum(left.u - left.a, right.u - right.a)
+    s_r = np.maximum(left.u + left.a, right.u + right.a)
+    q_l = left.rho * (s_l - left.u)
+    q_r = right.rho * (s_r - right.u)
+    sigma = (right.p - left.p + left.u * q_l - right.u * q_r) / (q_l - q_r)
+
+    def star_flux(side, s, q):
+        fac = side.rho * (s - side.u) / (s - sigma)
+        u_star = np.stack([fac, fac * sigma,
+                           fac * (side.E + (sigma - side.u) * (sigma + side.p / q))])
+        return side.F + s * (u_star - side.U)
+
+    return np.where(s_l >= 0.0, left.F,
+                    np.where(sigma >= 0.0, star_flux(left, s_l, q_l),
+                             np.where(s_r >= 0.0, star_flux(right, s_r, q_r), right.F)))
+
+
+def concat(*prims):
+    return Primitive(*(np.concatenate([getattr(v, f) for v in prims])
+                       for f in ("rho", "u", "p")))
+
+
+def test_hllc_flux0_matches_four_branch_sampler_bitwise():
+    rng = np.random.default_rng(23)
+
+    def moderate(n, u_lo, u_hi):
+        # gas with sound speed below ~1200 m/s, so |u| >= 3000 is supersonic
+        return Primitive(rng.uniform(1.0, 100.0, n), rng.uniform(u_lo, u_hi, n),
+                         rng.uniform(1e4, 1e6, n))
+
+    for eos_l, eos_r, seed in ((GAS, GAS, 31), (GAS, LIQUID, 32), (LIQUID, GAS, 33),
+                               (LIQUID, LIQUID, 34)):
+        sub_l, sub_r = random_pairs(400, eos_l, eos_r, seed=seed)
+        mirror = random_pairs(200, eos_l, eos_l, seed=seed + 10)[0]
+        mirror_r = Primitive(mirror.rho, -mirror.u, mirror.p)
+        left, right = concat(sub_l, mirror), concat(sub_r, mirror_r)
+        if eos_l is GAS and eos_r is GAS:
+            left = concat(left, moderate(100, 3000.0, 5000.0), moderate(100, -5000.0, -3000.0))
+            right = concat(right, moderate(100, 3000.0, 5000.0), moderate(100, -5000.0, -3000.0))
+        tl, tr = thermo_state(left, eos_l), thermo_state(right, eos_r)
+        fan = hllc(tl, tr)
+        if eos_l is eos_r:
+            # mirrored pairs put the contact exactly at x/t = 0
+            assert np.all(fan.sigma[400:600] == 0.0)
+        if eos_l is GAS and eos_r is GAS:
+            assert np.all(fan.s_left[600:700] > 0.0)
+            assert np.all(fan.s_right[700:] < 0.0)
+        star = (fan.s_left < 0.0) & (fan.s_right >= 0.0)
+        assert np.any(star & (fan.sigma > 0.0)) and np.any(star & (fan.sigma < 0.0))
+        assert fan.flux0.tobytes() == four_branch_flux0(tl, tr).tobytes()
+
+
 # ------------------------------------------------------ lagrangian flux
 
 def test_lagrangian_flux_stationary_contact():

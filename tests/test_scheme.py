@@ -1,8 +1,10 @@
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from demflow import scheme, state
 from demflow.config import preset_config
 from demflow.eos import EosParams
 from demflow.errors import InvalidStateError, SolverError
@@ -444,3 +446,34 @@ def test_continuous_relaxation_completes_admissible_runs(name, overrides):
     v2 = cons_to_prim(grid.cells.phase2.cons, cfg.eos2)
     assert np.max(np.abs(v1.u - v2.u) / (np.abs(v1.u) + 1.0)) < 1e-12
     assert np.max(np.abs(v1.p - v2.p) / (np.abs(v1.p) + cfg.eos2.pi_inf)) < 1e-12
+
+
+@pytest.mark.parametrize("name, overrides, per_step", [
+    ("t1_uniform_vf", ["n_cells=100"], 2),
+    ("t4_cavitation", ["n_cells=40"], 4),
+], ids=["t1_no_relaxation", "t4_continuous_relaxation"])
+def test_run_recovers_each_state_once(monkeypatch, name, overrides, per_step):
+    # each step makes one new cells object, two with relaxation; each is
+    # recovered once, by its validation, and CFL, fluxes and relaxation
+    # reuse that recovery; the initial grid adds one recovery per phase
+    original = state.cons_to_prim
+    counts = {"recoveries": 0, "steps": 0}
+
+    def counted_recovery(*args):
+        counts["recoveries"] += 1
+        return original(*args)
+
+    step = scheme.hyperbolic_step
+
+    def counted_step(*args):
+        counts["steps"] += 1
+        return step(*args)
+
+    for module_name, module in list(sys.modules.items()):
+        if (module_name.split(".")[0] == "demflow"
+                and getattr(module, "cons_to_prim", None) is original):
+            monkeypatch.setattr(module, "cons_to_prim", counted_recovery)
+    monkeypatch.setattr(scheme, "hyperbolic_step", counted_step)
+    run(preset_config(name, overrides))
+    assert counts["steps"] > 10
+    assert counts["recoveries"] == per_step * counts["steps"] + 2
