@@ -105,9 +105,21 @@ def _parse_state(text, label):
     return Primitive(rho, u, p)
 
 
+def _float_list(text, option):
+    """The floats of a comma-separated option value, empty entries skipped."""
+    values = []
+    for tok in filter(str.strip, text.split(",")):
+        try:
+            values.append(float(tok))
+        except ValueError:
+            raise ConfigError(f"cannot parse {option} entry {tok!r}") from None
+    return values
+
+
 def _cmd_riemann(args):
     left = _parse_state(args.left, "left")
     right = _parse_state(args.right, "right")
+    samples = _float_list(args.sample or "", "--sample")
     sol = exact_rp(left, right,
                    EosParams(args.gamma_left, args.pi_left),
                    EosParams(args.gamma_right, args.pi_right))
@@ -119,10 +131,9 @@ def _cmd_riemann(args):
         else:
             print(f"{side} wave: rarefaction, head {head:.12g}, tail {tail:.12g}")
     print(f"iterations = {sol.iterations}, residual = {sol.residual:.3e}")
-    if args.sample:
+    if samples:
         print("xi,rho,u,p")
-        for tok in args.sample.split(","):
-            xi = float(tok)
+        for xi in samples:
             v = sol(xi)
             print(f"{xi:.17g},{float(v.rho):.17g},{float(v.u):.17g},{float(v.p):.17g}")
     return 0
@@ -143,7 +154,7 @@ def _cmd_sweep(args):
     if output is None:
         raise ConfigError("no output prefix: set output= in the config or pass -o")
     base = Path(output)
-    values = [float(tok) for tok in args.values.split(",") if tok.strip()]
+    values = _float_list(args.values, "--values")
     if not values:
         raise ConfigError("sweep-r needs at least one value")
     for value in values:

@@ -2,7 +2,8 @@
 bundled shock-tube experiment presets t1..t6.
 
 A config file may name a `preset` and then override any key. All quantities
-are SI (times in seconds). Unknown keys are hard errors with line numbers.
+are SI (times in seconds). Unknown keys are hard errors. Errors name the
+config line or the override they come from.
 """
 
 from dataclasses import dataclass
@@ -69,44 +70,41 @@ _REQUIRED = ("x_min", "x_max", "n_cells", "t_end", "gamma1", "pi_inf1", "gamma2"
              *_STATE_KEYS)
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse a key=value config (UTF-8, '#' comments; later duplicates win)."""
+def _entries(sources):
+    """{key: (value, where)} from (where, text) pairs; `where` prefixes the
+    errors of its entry ("line 3", "override k=v"; None for none). '#' starts
+    a comment; later duplicates win."""
     entries = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for where, raw in sources:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"expected key=value, got {line!r}", line=lineno)
+            raise ConfigError(f"expected key=value, got {line!r}", where)
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
         if key not in _ALL_KEYS:
-            raise ConfigError(f"unknown key {key!r}", line=lineno)
+            raise ConfigError(f"unknown key {key!r}", where)
         if not value and key not in _STR_KEYS:
-            raise ConfigError(f"empty value for {key!r}", line=lineno)
-        entries[key] = (value, lineno)
-    return _build(entries)
+            raise ConfigError(f"empty value for {key!r}", where)
+        entries[key] = (value, where)
+    return entries
+
+
+def parse_config(text: str) -> RunConfig:
+    """Parse a key=value config (UTF-8, '#' comments; later duplicates win);
+    errors name the offending line."""
+    return _build(_entries((f"line {n}", raw)
+                           for n, raw in enumerate(text.splitlines(), start=1)))
 
 
 def preset_config(name: str, overrides=()) -> RunConfig:
     """Expand a named preset, optionally overriding keys ('key=value' strings).
-    The text parsed here is built, not written by the user, so an error names
-    the override it comes from instead of a line number."""
-    lines, origin = [], []
-    for source, text in ((None, f"preset={name}"),
-                         *((f"override {o}", o) for o in overrides)):
-        pieces = text.splitlines() or [""]
-        lines += pieces
-        origin += [source] * len(pieces)
-    try:
-        return parse_config("\n".join(lines))
-    except ConfigError as exc:
-        if exc.line is None:
-            raise
-        source = origin[exc.line - 1]
-        raise ConfigError(exc.reason if source is None
-                          else f"{source}: {exc.reason}") from None
+    An error names the override it comes from; a preset error names nothing."""
+    return _build(_entries([(None, f"preset={name}"),
+                            *((f"override {o}", raw) for o in overrides
+                              for raw in o.splitlines())]))
 
 
 def available_presets():
@@ -115,28 +113,25 @@ def available_presets():
 
 def _build(entries) -> RunConfig:
     if "preset" in entries:
-        name, line = entries.pop("preset")
+        name, where = entries.pop("preset")
         if name not in PRESETS:
             raise ConfigError(
-                f"unknown preset {name!r} (available: {', '.join(available_presets())})",
-                line=line)
-        merged = {k: (v, line) for k, v in PRESETS[name].items()}
+                f"unknown preset {name!r} (available: {', '.join(available_presets())})", where)
+        merged = {k: (v, where) for k, v in PRESETS[name].items()}
         merged.update(entries)
         entries = merged
 
-    def line_of(key):
+    def origin(key):
         return entries[key][1] if key in entries else None
 
     def take(key, kind, default=None):
         if key not in entries:
-            if default is None and key in _REQUIRED:
-                raise ConfigError(f"missing required key {key!r}")
             return default
-        raw, lineno = entries[key]
+        raw, where = entries[key]
         try:
             return kind(raw)
         except (TypeError, ValueError):
-            raise ConfigError(f"cannot parse {key}={raw!r}", line=lineno) from None
+            raise ConfigError(f"cannot parse {key}={raw!r}", where) from None
 
     def float_list(raw):
         return tuple(float(tok) for tok in raw.split(",") if tok.strip())
@@ -154,15 +149,15 @@ def _build(entries) -> RunConfig:
     seed = take("seed", int, 0)
 
     if not x_max > x_min:
-        raise ConfigError("x_max must exceed x_min", line=line_of("x_max"))
+        raise ConfigError("x_max must exceed x_min", origin("x_max"))
     if n_cells < 3:
-        raise ConfigError("n_cells must be at least 3", line=line_of("n_cells"))
+        raise ConfigError("n_cells must be at least 3", origin("n_cells"))
     if t_end < 0.0:
-        raise ConfigError("t_end must be non-negative", line=line_of("t_end"))
+        raise ConfigError("t_end must be non-negative", origin("t_end"))
     if not 0.0 < cfl <= 1.0:
-        raise ConfigError("cfl must lie in (0, 1]", line=line_of("cfl"))
+        raise ConfigError("cfl must lie in (0, 1]", origin("cfl"))
     if not x_min < diaphragm < x_max:
-        raise ConfigError("diaphragm must lie inside the domain", line=line_of("diaphragm"))
+        raise ConfigError("diaphragm must lie inside the domain", origin("diaphragm"))
 
     try:
         eos1 = EosParams(take("gamma1", float), take("pi_inf1", float))
@@ -179,13 +174,13 @@ def _build(entries) -> RunConfig:
         )
         key = f"{prefix}_alpha{phase}"
         if not EPS_VF <= init.alpha <= 1.0 - EPS_VF:
-            raise ConfigError(
-                f"{key} must lie in [{EPS_VF:g}, {1.0 - EPS_VF:g}]", line=line_of(key))
-        try:
-            _check_admissible(init.rho, init.p, eos)
-        except DemflowError as exc:
-            raise ConfigError(f"{prefix} phase {phase} state inadmissible: {exc}",
-                              line=line_of(f"{prefix}_p{phase}")) from exc
+            raise ConfigError(f"{key} must lie in [{EPS_VF:g}, {1.0 - EPS_VF:g}]", origin(key))
+        for q, rho, p in (("rho", init.rho, None), ("p", None, init.p)):
+            try:
+                _check_admissible(rho, p, eos)
+            except DemflowError as exc:
+                raise ConfigError(f"{prefix} phase {phase} state inadmissible: {exc}",
+                                  origin(f"{prefix}_{q}{phase}")) from exc
         return init
 
     left1 = side("left", 1, eos1)
@@ -195,16 +190,15 @@ def _build(entries) -> RunConfig:
     for prefix, a, b in (("left", left1, left2), ("right", right1, right2)):
         if abs(a.alpha + b.alpha - 1.0) > SATURATION_TOL:
             raise ConfigError(f"{prefix} volume fractions do not saturate",
-                              line=line_of(f"{prefix}_alpha1"))
+                              origin(f"{prefix}_alpha1"))
 
     relaxation = take("relaxation", str, "none")
     if relaxation not in RELAXATION_MODES:
-        raise ConfigError(f"relaxation must be one of {RELAXATION_MODES}",
-                          line=line_of("relaxation"))
+        raise ConfigError(f"relaxation must be one of {RELAXATION_MODES}", origin("relaxation"))
 
     regime = take("regime", str, "constant")
     if regime not in REGIME_MODES:
-        raise ConfigError(f"regime must be one of {REGIME_MODES}", line=line_of("regime"))
+        raise ConfigError(f"regime must be one of {REGIME_MODES}", origin("regime"))
     if regime == "constant":
         policy = ConstantRegime(take("regime_r", float, 0.0))
     elif regime == "piecewise":
@@ -218,22 +212,20 @@ def _build(entries) -> RunConfig:
         if eps is None:
             raise ConfigError("stochastic regime needs regime_epsilon")
         if eps < 0.0:
-            raise ConfigError("regime_epsilon must be non-negative",
-                              line=line_of("regime_epsilon"))
+            raise ConfigError("regime_epsilon must be non-negative", origin("regime_epsilon"))
         policy = StochasticRegime(epsilon=eps, seed=seed,
                                   initial=take("regime_r0", float, 0.0))
     else:
         policy = UniformRandomRegime(seed=seed)
     if isinstance(policy, ConstantRegime) and not 0.0 <= policy.value <= 1.0:
-        raise ConfigError("regime_r must lie in [0, 1]", line=line_of("regime_r"))
+        raise ConfigError("regime_r must lie in [0, 1]", origin("regime_r"))
     if isinstance(policy, StochasticRegime) and not 0.0 <= policy.initial <= 1.0:
-        raise ConfigError("regime_r0 must lie in [0, 1]", line=line_of("regime_r0"))
+        raise ConfigError("regime_r0 must lie in [0, 1]", origin("regime_r0"))
 
     snapshot_times = take("snapshots", float_list, ())
     for s in snapshot_times:
         if not 0.0 <= s <= t_end:
-            raise ConfigError(f"snapshot time {s:g} outside [0, t_end]",
-                              line=line_of("snapshots"))
+            raise ConfigError(f"snapshot time {s:g} outside [0, t_end]", origin("snapshots"))
 
     return RunConfig(
         x_min=x_min, x_max=x_max, n_cells=n_cells, t_end=t_end,

@@ -16,13 +16,11 @@ class SolverError(DemflowError):
 
 
 class ConfigError(DemflowError):
-    """A run configuration is malformed or inconsistent; `line` is the
-    offending line of the config text and `reason` the message without it."""
+    """A run configuration is malformed or inconsistent; `where` names its
+    source ("line 3", "override k=v") and prefixes the message."""
 
-    def __init__(self, message, line=None):
-        super().__init__(message if line is None else f"line {line}: {message}")
-        self.line = line
-        self.reason = message
+    def __init__(self, message, where=None):
+        super().__init__(message if where is None else f"{where}: {message}")
 
 
 @contextmanager

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eos import EosParams, _first_bad_index, internal_energy, sound_speed
+from .eos import EosParams, _at_cell, _first_bad_index, internal_energy, sound_speed
 from .errors import InvalidStateError, _prefixed
-from .state import (MixtureCell, PhaseCellState, Primitive, _check_fraction, phase_primitives,
-                    prim_to_cons)
+from .state import (MixtureCell, PhaseCellState, Primitive, _check_fraction, _mixture,
+                    phase_primitives, prim_to_cons)
 
 
 @dataclass(frozen=True)
@@ -49,39 +49,25 @@ def reduce_equilibrium(cell: MixtureCell, eos1: EosParams, eos2: EosParams) -> R
     volume-weighted pressure); inverse of maxwellian on equilibrium cells."""
     v1, v2 = phase_primitives(cell, eos1, eos2)
     a1, a2 = cell.phase1.alpha, cell.phase2.alpha
-    m1, m2 = a1 * v1.rho, a2 * v2.rho
-    return ReducedEquilibrium(
-        alpha1=a1, rho1=v1.rho,
-        u=(m1 * v1.u + m2 * v2.u) / (m1 + m2),
-        p=a1 * v1.p + a2 * v2.p,
-        alpha2=a2, rho2=v2.rho,
-    )
+    _, u, p = _mixture(a1, v1, a2, v2)
+    return ReducedEquilibrium(alpha1=a1, rho1=v1.rho, u=u, p=p, alpha2=a2, rho2=v2.rho)
 
 
 def _phase_arrays(cell, eos1, eos2):
-    a1 = np.atleast_1d(np.asarray(cell.phase1.alpha, dtype=float))
-    a2 = np.atleast_1d(np.asarray(cell.phase2.alpha, dtype=float))
+    """(alpha1, alpha2, rho1, u1, p1, rho2, u2, p2) as arrays of the cell's
+    shape; 0-d for a scalar cell."""
     v1, v2 = phase_primitives(cell, eos1, eos2)
-    prims = [np.atleast_1d(np.asarray(x, dtype=float))
-             for x in (v1.rho, v1.u, v1.p, v2.rho, v2.u, v2.p)]
-    return (a1, a2, *prims)
-
-
-def _reduced(like, **fields):
-    """ReducedEquilibrium whose fields take the shape of `like` (floats for a
-    scalar cell), undoing the atleast_1d of _phase_arrays."""
-    def shaped(x):
-        return x.reshape(np.shape(like)) if np.ndim(like) else float(x[0])
-    return ReducedEquilibrium(**{name: shaped(x) for name, x in fields.items()})
+    return tuple(np.asarray(x, dtype=float) for x in (
+        cell.phase1.alpha, cell.phase2.alpha, v1.rho, v1.u, v1.p, v2.rho, v2.u, v2.p))
 
 
 def _require_both_phases(a1, a2):
     for label, a in (("1", a1), ("2", a2)):
-        idx = _first_bad_index(~((a > 0.0) & (a < 1.0)))
-        if idx is not None:
+        bad = ~((a > 0.0) & (a < 1.0))
+        if np.any(bad):
             raise InvalidStateError(
                 "relaxation requires both phases present (0 < alpha < 1): "
-                f"phase {label} has alpha = {a.flat[idx]:.9g} at cell {idx}")
+                f"phase {label} has alpha = {a.flat[_first_bad_index(bad)]:.9g}" + _at_cell(bad))
 
 
 def _acoustic_coefficients(a1, a2, rho1, p1, rho2, p2, eos1, eos2):
@@ -125,20 +111,20 @@ def relax_continuous(cell: MixtureCell, eos1: EosParams, eos2: EosParams) -> Mix
     qb = pi1 + pi2 - c1 * (E1 + pi2) - c2 * (E2 + pi1)
     qc = pi1 * pi2 - c1 * E1 * pi2 - c2 * E2 * pi1
     disc = qb * qb - 4.0 * qa * qc
-    idx = _first_bad_index(~(np.isfinite(disc) & (disc >= 0.0)))
-    if idx is not None:
-        state = ", ".join(f"{f[idx]:.9g}" for f in (a1, rho10, u1, p1, a2, rho20, u2, p2))
+    bad = ~(np.isfinite(disc) & (disc >= 0.0))
+    if np.any(bad):
+        idx = _first_bad_index(bad)
+        state = ", ".join(f"{f.flat[idx]:.9g}" for f in (a1, rho10, u1, p1, a2, rho20, u2, p2))
         raise InvalidStateError(
-            f"relaxation pressure quadratic has discriminant {disc[idx]:.9g} at cell "
-            f"{idx}; (alpha1, rho1, u1, p1, alpha2, rho2, u2, p2) = ({state})")
+            f"relaxation pressure quadratic has discriminant {disc.flat[idx]:.9g}"
+            f"{_at_cell(bad)}; (alpha1, rho1, u1, p1, alpha2, rho2, u2, p2) = ({state})")
     # the larger root, without cancellation between qb and sqrt(disc)
     q = -0.5 * (qb + np.where(qb < 0.0, -1.0, 1.0) * np.sqrt(disc))
     p = np.where(qb < 0.0, q / qa, qc / q)
     r1 = rho10 * g1 * (p + pi1) / ((g1 - 1.0) * (E1 + p))
     r2 = rho20 * g2 * (p + pi2) / ((g2 - 1.0) * (E2 + p))
 
-    red = _reduced(cell.phase1.alpha, alpha1=m1 / r1, rho1=r1, u=u_star, p=p,
-                   alpha2=m2 / r2, rho2=r2)
+    red = ReducedEquilibrium(alpha1=m1 / r1, rho1=r1, u=u_star, p=p, alpha2=m2 / r2, rho2=r2)
     return maxwellian(red, eos1, eos2)
 
 
@@ -148,11 +134,12 @@ def relax_projection(cell: MixtureCell, eos1: EosParams, eos2: EosParams) -> Mix
     a1, a2, rho1, u1, p1, rho2, u2, p2 = _phase_arrays(cell, eos1, eos2)
     _require_both_phases(a1, a2)
     c1sq, c2sq, d, m1, m2 = _acoustic_coefficients(a1, a2, rho1, p1, rho2, p2, eos1, eos2)
-    if np.any(d <= 0.0) or not np.all(np.isfinite(d)):
-        raise InvalidStateError("degenerate acoustic impedances in projection relaxation")
+    bad = ~(np.isfinite(d) & (d > 0.0))
+    if np.any(bad):
+        raise InvalidStateError("degenerate acoustic impedances in projection relaxation"
+                                + _at_cell(bad))
     dp = p1 - p2
-    red = _reduced(
-        cell.phase1.alpha,
+    red = ReducedEquilibrium(
         alpha1=a1 + a1 * a2 * dp / d,
         rho1=rho1 - a2 * rho1 * dp / d,
         u=(m1 * u1 + m2 * u2) / (m1 + m2),
@@ -187,17 +174,14 @@ def projection_matrix(cell: MixtureCell, eos1: EosParams, eos2: EosParams) -> np
     pi[..., 5, 3] = a1 * rho2 / d
     pi[..., 5, 5] = 1.0
     pi[..., 5, 7] = -a1 * rho2 / d
-    if np.ndim(cell.phase1.alpha) == 0:
-        return pi[0]
     return pi
 
 
 def reduced_jacobian() -> np.ndarray:
     """Constant 8x6 Jacobian of the map from reduced variables to the
     primitive 8-vector (the shared u and p fan out to both phases)."""
-    dm = np.zeros((8, 6))
-    for row, col in ((0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 2), (7, 3)):
-        dm[row, col] = 1.0
+    dm = np.eye(8, 6)
+    dm[6, 2] = dm[7, 3] = 1.0
     return dm
 
 
@@ -212,6 +196,4 @@ def kernel_range_vectors(cell: MixtureCell, eos1: EosParams, eos2: EosParams):
                    -np.ones_like(a1), rho2 / a2, zeros, rho2 * c2sq / a2], axis=-1)
     v2 = np.stack([zeros, zeros, 1.0 / (a1 * rho1), zeros,
                    zeros, zeros, -1.0 / (a2 * rho2), zeros], axis=-1)
-    if np.ndim(cell.phase1.alpha) == 0:
-        return v1[0], v2[0]
     return v1, v2

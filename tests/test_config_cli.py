@@ -93,6 +93,22 @@ def test_inadmissible_state_rejected():
     assert "at cell" not in str(info.value)
 
 
+def test_inadmissible_initial_state_cites_its_key():
+    # a density fault cites the density line, a pressure fault the pressure line
+    lines = MINIMAL.splitlines()
+    for old, new in (("left_rho1 = 50", "left_rho1 = -5"), ("right_p2 = 1e5", "right_p2 = -7e8")):
+        with pytest.raises(ConfigError) as info:
+            parse_config(MINIMAL.replace(old, new))
+        assert str(info.value).startswith(f"line {lines.index(old) + 1}: ")
+    with pytest.raises(ConfigError, match=r"^line 4: left phase 1 state inadmissible: "
+                                          r"non-positive or non-finite density$"):
+        parse_config("preset = t1_uniform_vf\nn_cells = 8\nt_end = 0\nleft_rho1 = -5\n")
+    with pytest.raises(ConfigError, match=r"^override left_rho1=-5: left phase 1 state"):
+        preset_config("t1_uniform_vf", ["left_rho1=-5"])
+    with pytest.raises(ConfigError, match=r"^unknown preset 'nope'"):
+        preset_config("nope")
+
+
 def test_preset_t1_matches_reference_data():
     cfg = preset_config("t1_uniform_vf")
     assert cfg.n_cells == 1000
@@ -331,8 +347,7 @@ def test_cli_riemann_rejects_inadmissible_side(capsys):
 
 
 def test_cli_override_errors_name_the_override(capsys):
-    # the text preset_config parses is built from the overrides; its line
-    # numbers mean nothing to the user
+    # an override is no line of any file: its errors name the override
     assert main(["preset", "t1_uniform_vf", "--override", "left_p2=-7e8"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: override left_p2=-7e8: left phase 2 state inadmissible")
@@ -350,6 +365,21 @@ def test_cli_sweep_r(tmp_path):
                  "-o", str(tmp_path / "sweep.csv")]) == 0
     assert (tmp_path / "sweep_r0.csv").exists()
     assert (tmp_path / "sweep_r1.csv").exists()
+
+
+def test_cli_sweep_r_rejects_unparsable_value(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(MINIMAL)
+    assert main(["sweep-r", str(cfg_path), "--values", "0,abc",
+                 "-o", str(tmp_path / "sweep.csv")]) == 1
+    assert capsys.readouterr().err == "error: cannot parse --values entry 'abc'\n"
+    assert not list(tmp_path.glob("sweep*"))
+
+
+def test_cli_riemann_rejects_unparsable_sample(capsys):
+    assert main(["riemann", "1,0,1", "0.125,0,0.1", "--sample", "0,x"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: cannot parse --sample entry 'x'\n"
 
 
 def test_cli_reports_errors_with_nonzero_exit(tmp_path, capsys):

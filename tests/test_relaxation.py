@@ -185,6 +185,23 @@ def test_relaxation_errors_name_cell_and_phase():
     with np.errstate(over="ignore"), pytest.raises(
             InvalidStateError, match=r"discriminant inf at cell 2; .* = \(0\.4, 30, 0, 1e\+300, 0\.6,"):
         relax_continuous(cell, GAS, LIQUID)
+    # a liquid pressure whose squared sound speed overflows the impedance d
+    p2 = np.full(6, 3e6)
+    p2[4] = 5e307
+    cell = make_cell(np.full(6, 0.4), Primitive(np.full(6, 30.0), np.zeros(6), np.full(6, 3e6)),
+                     Primitive(np.full(6, 900.0), np.zeros(6), p2))
+    with np.errstate(over="ignore"), pytest.raises(
+            InvalidStateError, match=r"^degenerate acoustic impedances .* at cell 4$"):
+        relax_projection(cell, GAS, LIQUID)
+    # a scalar cell has no index: its errors name no cell
+    cell = make_cell(1.0, Primitive(30.0, 0.0, 3e6), Primitive(900.0, 0.0, 3e6))
+    for relax in (relax_continuous, relax_projection):
+        with pytest.raises(InvalidStateError, match=r"phase 1 has alpha = 1$"):
+            relax(cell, GAS, LIQUID)
+    cell = make_cell(0.4, Primitive(30.0, 0.0, 1e300), Primitive(900.0, 0.0, 3e6))
+    with np.errstate(over="ignore"), pytest.raises(
+            InvalidStateError, match=r"discriminant inf; .* = \(0\.4, 30, 0, 1e\+300, 0\.6,"):
+        relax_continuous(cell, GAS, LIQUID)
 
 
 def test_relaxer_recovery_errors_name_phase_and_cell():
@@ -288,6 +305,14 @@ def test_projection_matrix_annihilates_source_range():
         out = np.einsum("nij,nj->ni", pi, v)
         scale = np.max(np.abs(v), axis=-1, keepdims=True)
         assert np.max(np.abs(out) / scale) < 1e-10
+    # a scalar cell gives one 6x8 matrix and two 8-vectors: its entries of the batch
+    def row(phase, i=7):
+        c = phase.cons
+        return PhaseCellState(phase.alpha[i], Conserved(c.mass[i], c.momentum[i], c.energy[i]))
+    one = MixtureCell(row(cell.phase1), row(cell.phase2))
+    assert np.array_equal(projection_matrix(one, GAS, LIQUID), pi[7])
+    for got, batch in zip(kernel_range_vectors(one, GAS, LIQUID), (v1, v2)):
+        assert np.array_equal(got, batch[7])
 
 
 def test_relax_projection_matches_matrix_route():
