@@ -44,44 +44,55 @@ class ProbabilityQuad:
     r: float | np.ndarray
 
 
+def _stratified(al, ar):
+    return np.minimum(al, ar), np.maximum(al - ar, 0.0)
+
+
+def _disperse(al, ar):
+    aq = 1.0 - ar  # complementary phase fraction on the right
+    return np.maximum(al - aq, 0.0), np.minimum(al, aq)
+
+
 def stratified_pair(a: AlphaPair):
     """Extremal pair for connected (stratified) flow:
     (min(aL, aR), max(aL - aR, 0))."""
-    al, ar = np.asarray(a.alpha_left), np.asarray(a.alpha_right)
-    return np.minimum(al, ar), np.maximum(al - ar, 0.0)
+    return _stratified(np.asarray(a.alpha_left), np.asarray(a.alpha_right))
 
 
 def disperse_pair(a: AlphaPair):
     """Extremal pair for disconnected (disperse) flow:
     (max(aL - (1 - aR), 0), min(aL, 1 - aR))."""
-    al, ar = np.asarray(a.alpha_left), np.asarray(a.alpha_right)
-    aq = 1.0 - ar  # complementary phase fraction on the right
-    return np.maximum(al - aq, 0.0), np.minimum(al, aq)
+    return _disperse(np.asarray(a.alpha_left), np.asarray(a.alpha_right))
 
 
-def _extremal_quads(a: AlphaPair):
-    """Full stratified and disperse quads; phase l's entries are derived from
-    the marginal sums of phase k's, so the cross-phase identities hold by
-    construction at both endpoints."""
-    al, ar = np.asarray(a.alpha_left), np.asarray(a.alpha_right)
-    s_kk, s_kl = stratified_pair(a)
-    d_kk, d_kl = disperse_pair(a)
+def _check_regime(r):
+    """The regime-parameter range test 0 <= r <= 1 (NaN fails) as one min and
+    one max."""
+    if r.size and not (r.min() >= 0.0 and r.max() <= 1.0):
+        raise InvalidStateError("regime parameter r outside [0, 1]")
+
+
+def _convex_quad(al, ar, r) -> ProbabilityQuad:
+    """convex_quad on fraction arrays and an r array already checked. Phase
+    l's entries of both extremal quads are derived from the marginal sums of
+    phase k's, so the cross-phase identities hold by construction at both
+    endpoints."""
+    s_kk, s_kl = _stratified(al, ar)
+    d_kk, d_kl = _disperse(al, ar)
     s_lk = ar - s_kk
     d_lk = ar - d_kk
-    s_ll = 1.0 - al - s_lk
-    d_ll = 1.0 - al - d_lk
-    return (s_kk, s_kl, s_lk, s_ll), (d_kk, d_kl, d_lk, d_ll)
+    strat = (s_kk, s_kl, s_lk, 1.0 - al - s_lk)
+    disp = (d_kk, d_kl, d_lk, 1.0 - al - d_lk)
+    p_kk, p_kl, p_lk, p_ll = (r * d + (1.0 - r) * s for s, d in zip(strat, disp))
+    return ProbabilityQuad(p_kk=p_kk, p_kl=p_kl, p_lk=p_lk, p_ll=p_ll, r=r)
 
 
 def convex_quad(a: AlphaPair, r) -> ProbabilityQuad:
     """Convex combination r * disperse + (1 - r) * stratified of the full
     quads, so every coefficient is affine in r bit-for-bit."""
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0.0) or np.any(r > 1.0) or not np.all(np.isfinite(r)):
-        raise InvalidStateError("regime parameter r outside [0, 1]")
-    strat, disp = _extremal_quads(a)
-    p_kk, p_kl, p_lk, p_ll = (r * d + (1.0 - r) * s for s, d in zip(strat, disp))
-    return ProbabilityQuad(p_kk=p_kk, p_kl=p_kl, p_lk=p_lk, p_ll=p_ll, r=r)
+    _check_regime(r)
+    return _convex_quad(np.asarray(a.alpha_left), np.asarray(a.alpha_right), r)
 
 
 def extract_r(quad: ProbabilityQuad, a: AlphaPair):

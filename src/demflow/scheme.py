@@ -13,13 +13,20 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .eos import sound_speed
-from .errors import DemflowError, SolverError
-from .probability import AlphaPair, ProbabilityQuad, convex_quad
+from .errors import DemflowError, SolverError, _prefixed
+from .probability import ProbabilityQuad, _check_regime, _convex_quad
 from .regime import RegimeField, StochasticRegime, UniformRandomRegime, init_field, stochastic_update
 from .relaxation import relax_continuous, relax_projection
 from .riemann import RiemannFan, ThermoState, hllc, lagrangian_flux, thermo_state
-from .state import (Conserved, MixtureCell, PhaseCellState, Primitive,
+from .state import (Conserved, MixtureCell, PhaseCellState, Primitive, _check_fraction,
                     phase_primitives, prim_to_cons, validate_mixture)
+
+# cells per block of the hyperbolic step: a block's temporaries, a few
+# hundred arrays of up to (3, block) floats (~200 KB each), stay near a
+# 2 MiB L2 cache and are reused by the allocator, where whole-grid ones at
+# 1e5 cells come back as fresh pages (block sizes 2048-16384 measured in
+# BENCH_10.json)
+_BLOCK_CELLS = 8192
 
 
 @dataclass(frozen=True)
@@ -37,6 +44,14 @@ class Grid1D:
             raise SolverError("grid needs at least 3 cells")
         if not self.x_max > self.x_min:
             raise SolverError("grid domain is empty")
+        for label, phase in (("phase1", self.cells.phase1), ("phase2", self.cells.phase2)):
+            for name, x in (("alpha", phase.alpha), ("cons.mass", phase.cons.mass),
+                            ("cons.momentum", phase.cons.momentum),
+                            ("cons.energy", phase.cons.energy)):
+                if np.shape(x) != (self.n_cells,):
+                    raise SolverError(f"cells.{label}.{name} has shape {np.shape(x)}, "
+                                      f"the grid's {self.n_cells} cells need "
+                                      f"({self.n_cells},)")
 
     @property
     def dx(self):
@@ -69,37 +84,62 @@ class InterfaceFluxSet:
     beta_21: np.ndarray
 
 
-def interface_fluxes(grid: Grid1D, regime: RegimeField, eos1, eos2) -> InterfaceFluxSet:
-    """Solve the four phase-pairing Riemann problems at all n + 1 interfaces
-    of the grid and attach the probability coefficients.
-
-    Primitives come from phase_primitives (recovered once per cells object)
-    and the equation of state is evaluated once per phase, on the n cells
-    edge-copied to n + 2; all four pairings read views of those two records.
-    Interface i sits between cells i - 1 and i; the two outer interfaces see
-    a copy of their edge cell (transmissive boundary)."""
+def _edge_copied(grid: Grid1D, regime: RegimeField, eos1, eos2):
+    """Check a step's inputs once and edge-copy them: rows rho1, u1, p1, rho2,
+    u2, p2, alpha1 over n + 2 cells, the two outer ones copies of their edge
+    cell (transmissive boundary), and r as floats. Primitives come from
+    phase_primitives (recovered once per cells object); the range checks name
+    the global cell."""
     if np.shape(regime.values) != (grid.n_cells + 1,):
         raise SolverError("regime field does not match the grid's interfaces")
+    r = np.asarray(regime.values, dtype=float)
+    _check_regime(r)
+    alpha1 = grid.cells.phase1.alpha
+    with _prefixed("phase 1"):
+        _check_fraction(alpha1)
+    v1, v2 = phase_primitives(grid.cells, eos1, eos2)
+    fields = (v1.rho, v1.u, v1.p, v2.rho, v2.u, v2.p, alpha1)
+    cells = np.empty((len(fields), grid.n_cells + 2))
+    for row, x in zip(cells, fields):
+        row[1:-1] = x
+    cells[:, 0] = cells[:, 1]
+    cells[:, -1] = cells[:, -2]
+    return cells, r
 
-    def edge_copy(x):
-        return np.concatenate([x[:1], x, x[-1:]])
+
+def _interface_block(cells, r, eos1, eos2) -> InterfaceFluxSet:
+    """Interface data between m consecutive edge-copied cells (columns of
+    _edge_copied's rows) at their m - 1 interfaces, r one value per interface.
+
+    The equation of state is evaluated once per phase on the m cells; all four
+    pairings read left/right views of those two records."""
+    rho1, u1, p1, rho2, u2, p2, alpha1 = cells
 
     def side_records(v, eos):
-        rec = thermo_state(Primitive(edge_copy(v.rho), edge_copy(v.u), edge_copy(v.p)), eos)
+        rec = thermo_state(v, eos)
         return (ThermoState(*(x[..., :-1] for x in rec)),
                 ThermoState(*(x[..., 1:] for x in rec)))
 
-    v1, v2 = phase_primitives(grid.cells, eos1, eos2)
-    t1_left, t1_right = side_records(v1, eos1)
-    t2_left, t2_right = side_records(v2, eos2)
-    alpha1 = edge_copy(np.asarray(grid.cells.phase1.alpha, dtype=float))
+    t1_left, t1_right = side_records(Primitive(rho1, u1, p1), eos1)
+    t2_left, t2_right = side_records(Primitive(rho2, u2, p2), eos2)
     fan_11 = hllc(t1_left, t1_right)
     fan_12 = hllc(t1_left, t2_right)
     fan_21 = hllc(t2_left, t1_right)
     fan_22 = hllc(t2_left, t2_right)
-    quad = convex_quad(AlphaPair(alpha1[:-1], alpha1[1:]), regime.values)
+    quad = _convex_quad(alpha1[:-1], alpha1[1:], r)
     return InterfaceFluxSet(fan_11, fan_12, fan_21, fan_22, quad,
                             beta(fan_12.sigma), beta(fan_21.sigma))
+
+
+def interface_fluxes(grid: Grid1D, regime: RegimeField, eos1, eos2) -> InterfaceFluxSet:
+    """Solve the four phase-pairing Riemann problems at all n + 1 interfaces
+    of the grid and attach the probability coefficients: the step's interface
+    function applied to the whole grid as one block.
+
+    Interface i sits between cells i - 1 and i; the two outer interfaces see
+    a copy of their edge cell (transmissive boundary)."""
+    cells, r = _edge_copied(grid, regime, eos1, eos2)
+    return _interface_block(cells, r, eos1, eos2)
 
 
 def ensemble_flux(ifs: InterfaceFluxSet):
@@ -165,32 +205,50 @@ def hyperbolic_step(grid: Grid1D, regime: RegimeField, dt, eos1, eos2) -> Grid1D
     """One forward-Euler update of alpha*U and alpha for both phases.
 
     Interface computations read only the two adjacent cells and the
-    interface's r; cell updates read only precomputed interface data, summed
-    in a fixed order, so the result is independent of any parallel split.
+    interface's r; cell updates read only their two interfaces' data, summed
+    in a fixed order, so the result is independent of how the cells are
+    split. The step sweeps them in even blocks of at most _BLOCK_CELLS, each
+    with its two halo cells, so a large grid's temporaries stay small; every
+    split gives the same bits, and a grid of up to _BLOCK_CELLS cells is one
+    block. The inputs are checked once, on the whole grid, and so is the new
+    state.
     """
-    ifs = interface_fluxes(grid, regime, eos1, eos2)
-    e1, e2 = ensemble_flux(ifs)
-    l1, l2 = boundary_lagrangian(ifs)
-    w1, w2 = volume_fraction_rhs(ifs)
-
+    cells, r = _edge_copied(grid, regime, eos1, eos2)
+    n = grid.n_cells
+    n_blocks = -(-n // _BLOCK_CELLS)
+    bounds = [k * n // n_blocks for k in range(n_blocks + 1)]
     lam = dt / grid.dx
 
-    def update_phase(phase, e, lag, vrhs):
-        alpha = np.asarray(phase.alpha, dtype=float)
-        u_old = phase.cons.as_array()
+    def update_phase(phase, lo, hi, e, lag, vrhs):
+        alpha = np.asarray(phase.alpha, dtype=float)[lo:hi]
+        c = phase.cons
+        u_old = np.array([c.mass[lo:hi], c.momentum[lo:hi], c.energy[lo:hi]], dtype=float)
         alpha_u = alpha * u_old - lam * (e[:, 1:] - e[:, :-1]) + lam * lag
         alpha_new = alpha + lam * vrhs
         present = alpha_new > 0.0
         u_new = np.where(present, alpha_u / np.where(present, alpha_new, 1.0), u_old)
-        return PhaseCellState(alpha=alpha_new,
-                              cons=Conserved(u_new[0], u_new[1], u_new[2]))
+        return alpha_new, u_new
 
-    cells = MixtureCell(
-        phase1=update_phase(grid.cells.phase1, e1, l1, w1),
-        phase2=update_phase(grid.cells.phase2, e2, l2, w2),
-    )
-    validate_mixture(cells, eos1, eos2, context="after hyperbolic step")
-    return replace(grid, cells=cells)
+    blocks = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        ifs = _interface_block(cells[:, lo:hi + 2], r[lo:hi + 1], eos1, eos2)
+        e1, e2 = ensemble_flux(ifs)
+        l1, l2 = boundary_lagrangian(ifs)
+        w1, w2 = volume_fraction_rhs(ifs)
+        blocks.append((update_phase(grid.cells.phase1, lo, hi, e1, l1, w1),
+                       update_phase(grid.cells.phase2, lo, hi, e2, l2, w2)))
+
+    def new_phase(k):
+        if len(blocks) == 1:
+            alpha, u = blocks[0][k]
+        else:
+            alpha = np.concatenate([b[k][0] for b in blocks])
+            u = np.concatenate([b[k][1] for b in blocks], axis=1)
+        return PhaseCellState(alpha=alpha, cons=Conserved(u[0], u[1], u[2]))
+
+    new_cells = MixtureCell(phase1=new_phase(0), phase2=new_phase(1))
+    validate_mixture(new_cells, eos1, eos2, context="after hyperbolic step")
+    return replace(grid, cells=new_cells)
 
 
 def initial_grid(config) -> Grid1D:

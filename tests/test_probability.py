@@ -46,10 +46,11 @@ def test_convex_quad_reproduces_extremal_pairs():
 
 
 def test_convex_quad_rejects_bad_r():
-    with pytest.raises(InvalidStateError):
-        convex_quad(AlphaPair(0.5, 0.5), 1.5)
-    with pytest.raises(InvalidStateError):
-        convex_quad(AlphaPair(0.5, 0.5), -0.1)
+    for bad in (1.5, -0.1, np.nan, np.inf, -np.inf, [0.5, np.nan], [0.0, np.nextafter(1.0, 2.0)]):
+        with pytest.raises(InvalidStateError, match=r"^regime parameter r outside \[0, 1\]$"):
+            convex_quad(AlphaPair(0.5, 0.5), bad)
+    for good in (0.0, 1.0, [0.0, 0.5, 1.0], np.empty(0)):
+        convex_quad(AlphaPair(0.5, 0.5), good)
 
 
 @pytest.mark.parametrize("r", [0.0, 0.25, 0.8, 1.0])

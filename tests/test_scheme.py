@@ -324,6 +324,90 @@ def test_interior_mass_conservation_bookkeeping():
             assert abs((total1 - total0) - boundary) < 1e-10 * abs(total0)
 
 
+# -------------------------------------------------------------- blocking
+
+def step_fields(grid):
+    return [x for ph in (grid.cells.phase1, grid.cells.phase2)
+            for x in (ph.alpha, ph.cons.mass, ph.cons.momentum, ph.cons.energy)]
+
+
+def assert_same_bits(a, b):
+    for x, y in zip(step_fields(a), step_fields(b), strict=True):
+        x, y = np.asarray(x), np.asarray(y)
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
+
+
+def test_blocked_step_matches_one_block_bitwise(monkeypatch):
+    # each interface reads its two cells and its r, each cell its two
+    # interfaces, so every split of the cells gives the same bits
+    n = 50
+    for seed in range(4):
+        grid = random_grid(n, seed=200 + seed)
+        r = np.random.default_rng(seed).uniform(0.0, 1.0, n + 1)
+        field = replace(constant_field(grid, 0.0), values=r)
+        dt = 0.9 * cfl_dt(grid, 0.9, GAS, LIQUID)
+        monkeypatch.setattr(scheme, "_BLOCK_CELLS", n)
+        whole = hyperbolic_step(grid, field, dt, GAS, LIQUID)
+        for block in (1, 7, n - 1, 2 * n):
+            monkeypatch.setattr(scheme, "_BLOCK_CELLS", block)
+            assert_same_bits(hyperbolic_step(grid, field, dt, GAS, LIQUID), whole)
+    cfg = preset_config("t4_cavitation", ["n_cells=40"])
+    assert cfg.relaxation == "continuous"
+    monkeypatch.setattr(scheme, "_BLOCK_CELLS", 40)
+    whole = run(cfg)[-1]
+    monkeypatch.setattr(scheme, "_BLOCK_CELLS", 7)
+    split = run(cfg)[-1]
+    assert split.t == whole.t
+    assert_same_bits(split.grid, whole.grid)
+
+
+def with_alpha1(grid, cell, value):
+    alpha = np.array(grid.cells.phase1.alpha, dtype=float)
+    alpha[cell] = value
+    phase1 = replace(grid.cells.phase1, alpha=alpha)
+    return replace(grid, cells=replace(grid.cells, phase1=phase1))
+
+
+def test_step_fraction_errors_name_phase_and_global_cell(monkeypatch):
+    grid = with_alpha1(random_grid(8, seed=11), 3, 1.2)
+    field = constant_field(grid, 0.3)
+    message = r"^phase 1: volume fraction left \[0, 1\] at cell 3$"
+    with pytest.raises(InvalidStateError, match=message):
+        interface_fluxes(grid, field, GAS, LIQUID)
+    with pytest.raises(InvalidStateError, match=message):
+        hyperbolic_step(grid, field, 1e-9, GAS, LIQUID)
+    # a fault in a later block still names its cell of the grid
+    monkeypatch.setattr(scheme, "_BLOCK_CELLS", 8)
+    grid = with_alpha1(random_grid(40, seed=12), 29, -0.1)
+    with pytest.raises(InvalidStateError, match=r"^phase 1: .* at cell 29$"):
+        hyperbolic_step(grid, constant_field(grid, 0.3), 1e-9, GAS, LIQUID)
+
+
+def test_step_rejects_regime_values_outside_unit_range():
+    grid = random_grid(8, seed=13)
+    for bad in (np.nan, 1.5, -np.inf):
+        r = np.full(grid.n_cells + 1, 0.5)
+        r[6] = bad
+        field = replace(constant_field(grid, 0.0), values=r)
+        with pytest.raises(InvalidStateError, match=r"regime parameter r outside"):
+            hyperbolic_step(grid, field, 1e-9, GAS, LIQUID)
+
+
+def test_grid_rejects_cells_of_another_length():
+    cells = random_grid(7, seed=14).cells
+    with pytest.raises(SolverError, match=r"cells\.phase1\.alpha has shape \(7,\).* \(5,\)"):
+        Grid1D(-1.0, 1.0, 5, cells)
+    energy = cells.phase2.cons.energy[:-1]
+    short = replace(cells, phase2=replace(
+        cells.phase2, cons=replace(cells.phase2.cons, energy=energy)))
+    with pytest.raises(SolverError, match=r"cells\.phase2\.cons\.energy has shape \(6,\)"):
+        Grid1D(-1.0, 1.0, 7, short)
+    scalar = replace(cells, phase1=replace(cells.phase1, alpha=0.5))
+    with pytest.raises(SolverError, match=r"cells\.phase1\.alpha has shape \(\)"):
+        Grid1D(-1.0, 1.0, 7, scalar)
+
+
 # ------------------------------------------------------------- utilities
 
 def test_cfl_dt_hand_value():
