@@ -23,6 +23,6 @@ from .scheme import (Grid1D, InterfaceFluxSet, Snapshot, beta,
 from .snapshots import (FieldError, OracleSpec, compare_oracle,
                         oracle_from_string, read_snapshot, write_snapshot)
 from .state import (Conserved, MixtureCell, PhaseCellState, Primitive,
-                    cons_to_prim, mixture_quantities, prim_to_cons)
+                    cell_rows, cons_to_prim, mixture_quantities, prim_to_cons)
 
 __version__ = "0.1.0"

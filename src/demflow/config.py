@@ -2,10 +2,11 @@
 bundled shock-tube experiment presets t1..t6.
 
 A config file may name a `preset` and then override any key. All quantities
-are SI (times in seconds). Unknown keys are hard errors. Errors name the
-config line or the override they come from.
+are SI (times in seconds). Unknown keys and non-finite numbers are hard
+errors. Errors name the config line or the override they come from.
 """
 
+import math
 from dataclasses import dataclass
 
 from .eos import EosParams, _check_admissible
@@ -129,9 +130,13 @@ def _build(entries) -> RunConfig:
             return default
         raw, where = entries[key]
         try:
-            return kind(raw)
+            value = kind(raw)
         except (TypeError, ValueError):
             raise ConfigError(f"cannot parse {key}={raw!r}", where) from None
+        numbers = value if kind is float_list else (value,)
+        if kind in (float, float_list) and not all(map(math.isfinite, numbers)):
+            raise ConfigError(f"{key} must be finite, got {raw!r}", where)
+        return value
 
     def float_list(raw):
         return tuple(float(tok) for tok in raw.split(",") if tok.strip())

@@ -8,7 +8,8 @@ integration is forward Euler under a CFL bound, with optional per-cell
 relaxation after each step (operator splitting).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .regime import RegimeField, StochasticRegime, UniformRandomRegime, init_fie
 from .relaxation import relax_continuous, relax_projection
 from .riemann import RiemannFan, ThermoState, hllc, lagrangian_flux, thermo_state
 from .state import (Conserved, MixtureCell, PhaseCellState, Primitive, _check_fraction,
-                    phase_primitives, prim_to_cons, validate_mixture)
+                    cell_rows, phase_primitives, prim_to_cons, validate_mixture)
 
 # cells per block of the hyperbolic step: a block's temporaries, a few
 # hundred arrays of up to (3, block) floats (~200 KB each), stay near a
@@ -31,27 +32,32 @@ _BLOCK_CELLS = 8192
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform mesh; cells is a struct-of-arrays MixtureCell whose leaf fields
-    all have shape (n_cells,)."""
+    """Uniform mesh whose cells are one C-contiguous float array `state` of
+    shape (8, n_cells), rows as in state.cell_rows. `cells` views the rows as
+    a MixtureCell, built once per grid so that phase_primitives' memo holds;
+    nothing writes a grid's state in place."""
 
     x_min: float
     x_max: float
-    n_cells: int
-    cells: MixtureCell
+    state: np.ndarray
 
     def __post_init__(self):
-        if self.n_cells < 3:
-            raise SolverError("grid needs at least 3 cells")
+        shape = np.shape(self.state)
+        if len(shape) != 2 or shape[0] != 8 or shape[1] < 3:
+            raise SolverError(f"grid state has shape {shape}, needs (8, n) with n >= 3 cells")
         if not self.x_max > self.x_min:
             raise SolverError("grid domain is empty")
-        for label, phase in (("phase1", self.cells.phase1), ("phase2", self.cells.phase2)):
-            for name, x in (("alpha", phase.alpha), ("cons.mass", phase.cons.mass),
-                            ("cons.momentum", phase.cons.momentum),
-                            ("cons.energy", phase.cons.energy)):
-                if np.shape(x) != (self.n_cells,):
-                    raise SolverError(f"cells.{label}.{name} has shape {np.shape(x)}, "
-                                      f"the grid's {self.n_cells} cells need "
-                                      f"({self.n_cells},)")
+        object.__setattr__(self, "state", np.ascontiguousarray(self.state, dtype=float))
+
+    @property
+    def n_cells(self):
+        return self.state.shape[1]
+
+    @cached_property
+    def cells(self) -> MixtureCell:
+        a1, m1, p1, e1, a2, m2, p2, e2 = self.state
+        return MixtureCell(PhaseCellState(a1, Conserved(m1, p1, e1)),
+                           PhaseCellState(a2, Conserved(m2, p2, e2)))
 
     @property
     def dx(self):
@@ -202,7 +208,8 @@ def cfl_dt(grid: Grid1D, cfl, eos1, eos2) -> float:
 
 
 def hyperbolic_step(grid: Grid1D, regime: RegimeField, dt, eos1, eos2) -> Grid1D:
-    """One forward-Euler update of alpha*U and alpha for both phases.
+    """One forward-Euler update of alpha*U and alpha for both phases, written
+    into the rows of a new grid's state; the input grid is not modified.
 
     Interface computations read only the two adjacent cells and the
     interface's r; cell updates read only their two interfaces' data, summed
@@ -219,57 +226,44 @@ def hyperbolic_step(grid: Grid1D, regime: RegimeField, dt, eos1, eos2) -> Grid1D
     bounds = [k * n // n_blocks for k in range(n_blocks + 1)]
     lam = dt / grid.dx
 
-    def update_phase(phase, lo, hi, e, lag, vrhs):
-        alpha = np.asarray(phase.alpha, dtype=float)[lo:hi]
-        c = phase.cons
-        u_old = np.array([c.mass[lo:hi], c.momentum[lo:hi], c.energy[lo:hi]], dtype=float)
-        alpha_u = alpha * u_old - lam * (e[:, 1:] - e[:, :-1]) + lam * lag
-        alpha_new = alpha + lam * vrhs
-        present = alpha_new > 0.0
-        u_new = np.where(present, alpha_u / np.where(present, alpha_new, 1.0), u_old)
-        return alpha_new, u_new
-
-    blocks = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         ifs = _interface_block(cells[:, lo:hi + 2], r[lo:hi + 1], eos1, eos2)
         e1, e2 = ensemble_flux(ifs)
         l1, l2 = boundary_lagrangian(ifs)
         w1, w2 = volume_fraction_rhs(ifs)
-        blocks.append((update_phase(grid.cells.phase1, lo, hi, e1, l1, w1),
-                       update_phase(grid.cells.phase2, lo, hi, e2, l2, w2)))
+        if lo == 0:
+            # made after the first block's temporaries, so that their freed
+            # space is not trimmed off the heap top and faulted back each step
+            new = np.empty_like(grid.state)
+        # rows alpha_k, U_k of phase k start at row 0 (phase 1) and 4 (phase 2)
+        for row, e, lag, vrhs in ((0, e1, l1, w1), (4, e2, l2, w2)):
+            alpha = grid.state[row, lo:hi]
+            u_old = grid.state[row + 1:row + 4, lo:hi]
+            alpha_u = alpha * u_old - lam * (e[:, 1:] - e[:, :-1]) + lam * lag
+            alpha_new = np.add(alpha, lam * vrhs, out=new[row, lo:hi])
+            present = alpha_new > 0.0
+            u_new = np.divide(alpha_u, np.where(present, alpha_new, 1.0),
+                              out=new[row + 1:row + 4, lo:hi])
+            np.copyto(u_new, u_old, where=~present)
 
-    def new_phase(k):
-        if len(blocks) == 1:
-            alpha, u = blocks[0][k]
-        else:
-            alpha = np.concatenate([b[k][0] for b in blocks])
-            u = np.concatenate([b[k][1] for b in blocks], axis=1)
-        return PhaseCellState(alpha=alpha, cons=Conserved(u[0], u[1], u[2]))
-
-    new_cells = MixtureCell(phase1=new_phase(0), phase2=new_phase(1))
-    validate_mixture(new_cells, eos1, eos2, context="after hyperbolic step")
-    return replace(grid, cells=new_cells)
+    out = replace(grid, state=new)
+    validate_mixture(out.cells, eos1, eos2, context="after hyperbolic step")
+    return out
 
 
 def initial_grid(config) -> Grid1D:
     """Build the two-state (left/right of diaphragm) grid of a run config."""
+    phases = []
+    for left, right, eos in ((config.left1, config.right1, config.eos1),
+                             (config.left2, config.right2, config.eos2)):
+        # two columns: the states left and right of the diaphragm
+        alpha, rho, u, p = np.array([astuple(left), astuple(right)]).T
+        phases.append(PhaseCellState(alpha, prim_to_cons(Primitive(rho, u, p), eos)))
     n = config.n_cells
-    dx = (config.x_max - config.x_min) / n
-    x = config.x_min + (np.arange(n) + 0.5) * dx
-    on_left = x < config.diaphragm
-
-    def phase(init_l, init_r, eos):
-        prim = Primitive(
-            rho=np.where(on_left, init_l.rho, init_r.rho),
-            u=np.where(on_left, init_l.u, init_r.u),
-            p=np.where(on_left, init_l.p, init_r.p),
-        )
-        return PhaseCellState(alpha=np.where(on_left, init_l.alpha, init_r.alpha),
-                              cons=prim_to_cons(prim, eos))
-
-    cells = MixtureCell(phase(config.left1, config.right1, config.eos1),
-                        phase(config.left2, config.right2, config.eos2))
-    return Grid1D(config.x_min, config.x_max, n, cells)
+    x = config.x_min + (np.arange(n) + 0.5) * ((config.x_max - config.x_min) / n)
+    sides = cell_rows(MixtureCell(*phases))
+    return Grid1D(config.x_min, config.x_max,
+                  np.where(x < config.diaphragm, sides[:, :1], sides[:, 1:]))
 
 
 @dataclass(frozen=True)
@@ -317,7 +311,7 @@ def run(config) -> list:
                     field = stochastic_update(field)
                 grid = hyperbolic_step(grid, field, dt, eos1, eos2)
                 if relaxer is not None:
-                    grid = replace(grid, cells=relaxer(grid.cells, eos1, eos2))
+                    grid = replace(grid, state=cell_rows(relaxer(grid.cells, eos1, eos2)))
                     validate_mixture(grid.cells, eos1, eos2, context="after relaxation")
             except DemflowError as exc:
                 raise type(exc)(f"{exc} (at t = {t:.9e} s, step {steps})") from exc

@@ -1,7 +1,8 @@
 """Cell state containers, primitive/conserved conversions, mixture diagnostics.
 
 Every field may hold a scalar or a numpy array, so one value of each type can
-describe a single cell or a whole grid of cells at once (struct-of-arrays).
+describe a single cell or a whole grid of cells at once (struct-of-arrays);
+cell_rows stacks a grid's cells into the grid's one (8, n) state array.
 """
 
 from dataclasses import dataclass
@@ -32,14 +33,6 @@ class Conserved:
     momentum: float | np.ndarray
     energy: float | np.ndarray
 
-    def as_array(self):
-        """Stack into shape (3, ...) for flux arithmetic."""
-        return np.array(np.broadcast_arrays(
-            np.asarray(self.mass, dtype=float),
-            np.asarray(self.momentum, dtype=float),
-            np.asarray(self.energy, dtype=float),
-        ))
-
 
 @dataclass(frozen=True)
 class PhaseCellState:
@@ -65,6 +58,13 @@ class MixtureCell:
 
     phase1: PhaseCellState
     phase2: PhaseCellState
+
+
+def cell_rows(cell: MixtureCell) -> np.ndarray:
+    """A new float array (8, ...) of the cell's eight leaves, which share one
+    shape: rows alpha1, U1 (mass, momentum, energy), alpha2, U2."""
+    return np.array([x for ph in (cell.phase1, cell.phase2) for x in
+                     (ph.alpha, ph.cons.mass, ph.cons.momentum, ph.cons.energy)], dtype=float)
 
 
 def prim_to_cons(v: Primitive, eos: EosParams) -> Conserved:

@@ -17,8 +17,8 @@ from demflow.relaxation import (kernel_range_vectors, projection_matrix,
 from demflow.scheme import (Grid1D, cfl_dt, hyperbolic_step, initial_grid,
                             interface_fluxes, ensemble_flux, run)
 from demflow.snapshots import OracleSpec, compare_oracle, snapshot_table, SNAPSHOT_COLUMNS
-from demflow.state import (MixtureCell, PhaseCellState, Primitive, cons_to_prim,
-                           prim_to_cons)
+from demflow.state import (MixtureCell, PhaseCellState, Primitive, cell_rows,
+                           cons_to_prim, prim_to_cons)
 
 EPS = np.finfo(float).eps
 
@@ -99,7 +99,7 @@ def test_criterion_3_relaxed_equilibrium():
             m1_pre = np.asarray(grid.cells.phase1.alpha) * np.asarray(grid.cells.phase1.cons.mass)
             m2_pre = np.asarray(grid.cells.phase2.alpha) * np.asarray(grid.cells.phase2.cons.mass)
             cells = strategy(grid.cells, cfg.eos1, cfg.eos2)
-            grid = Grid1D(grid.x_min, grid.x_max, grid.n_cells, cells)
+            grid = Grid1D(grid.x_min, grid.x_max, cell_rows(cells))
             v1 = cons_to_prim(cells.phase1.cons, cfg.eos1)
             v2 = cons_to_prim(cells.phase2.cons, cfg.eos2)
             worst["u"] = max(worst["u"], float(np.max(np.abs(v1.u - v2.u)
@@ -201,19 +201,15 @@ def test_criterion_6_sandwich_property():
                        rng.uniform(1e5, 5e6, n))
         v2 = Primitive(rng.uniform(700.0, 1300.0, n), rng.uniform(-40.0, 40.0, n),
                        rng.uniform(1e5, 5e6, n))
-        grid = Grid1D(-1.0, 1.0, n, MixtureCell(
+        grid = Grid1D(-1.0, 1.0, cell_rows(MixtureCell(
             PhaseCellState(a1, prim_to_cons(v1, cfg.eos1)),
-            PhaseCellState(1.0 - a1, prim_to_cons(v2, cfg.eos2))))
+            PhaseCellState(1.0 - a1, prim_to_cons(v2, cfg.eos2)))))
         dt = 0.9 * cfl_dt(grid, 0.9, cfg.eos1, cfg.eos2)
 
         def states(r):
-            out = hyperbolic_step(grid, init_field(ConstantRegime(r), grid), dt,
-                                  cfg.eos1, cfg.eos2)
-            rows = []
-            for ph in (out.cells.phase1, out.cells.phase2):
-                alpha = np.asarray(ph.alpha)
-                rows.append(np.vstack([alpha, alpha * ph.cons.as_array()]))
-            return np.vstack(rows)
+            s = hyperbolic_step(grid, init_field(ConstantRegime(r), grid), dt,
+                                cfg.eos1, cfg.eos2).state
+            return np.vstack([s[:1], s[:1] * s[1:4], s[4:5], s[4:5] * s[5:]])
 
         lo, hi = states(0.0), states(1.0)
         scale = np.abs(lo) + np.abs(hi) + 1e-30
@@ -266,7 +262,7 @@ def test_criterion_7_conservation_bookkeeping():
         mom_scale = np.abs(mom_pre) + mass_pre * 1.0
         worst_mom = max(worst_mom, float(np.max(np.abs(mom_post - mom_pre) / mom_scale)))
         worst_energy = max(worst_energy, float(np.max(np.abs(E_post - E_pre) / E_pre)))
-        grid = Grid1D(grid.x_min, grid.x_max, grid.n_cells, relaxed)
+        grid = Grid1D(grid.x_min, grid.x_max, cell_rows(relaxed))
     ok = worst_mass < 1e-10 and worst_mom < 1e-12 and worst_energy < 1e-9
     report(ok, "criterion 7 (conservation bookkeeping)",
            f"mass drift vs boundary flux={worst_mass:.2e}, relaxation momentum "

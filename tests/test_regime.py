@@ -6,7 +6,7 @@ from demflow.errors import ConfigError
 from demflow.regime import (ConstantRegime, PiecewiseRegime, StochasticRegime,
                             UniformRandomRegime, init_field, stochastic_update)
 from demflow.scheme import Grid1D
-from demflow.state import MixtureCell, PhaseCellState, Primitive, prim_to_cons
+from demflow.state import MixtureCell, PhaseCellState, Primitive, cell_rows, prim_to_cons
 
 GAS = EosParams(1.4, 0.0)
 
@@ -14,7 +14,7 @@ GAS = EosParams(1.4, 0.0)
 def make_grid(n=10, x_min=-1.0, x_max=1.0):
     v = Primitive(np.ones(n), np.zeros(n), np.full(n, 1e5))
     phase = PhaseCellState(alpha=np.full(n, 0.5), cons=prim_to_cons(v, GAS))
-    return Grid1D(x_min, x_max, n, MixtureCell(phase, phase))
+    return Grid1D(x_min, x_max, cell_rows(MixtureCell(phase, phase)))
 
 
 def test_constant_field():

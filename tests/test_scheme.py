@@ -1,3 +1,4 @@
+import re
 import sys
 from dataclasses import replace
 
@@ -11,9 +12,9 @@ from demflow.errors import InvalidStateError, SolverError
 from demflow.probability import AlphaPair, convex_quad
 from demflow.regime import ConstantRegime, init_field
 from demflow.riemann import hllc, lagrangian_flux, thermo_state
-from demflow.scheme import (Grid1D, beta, cfl_dt, hyperbolic_step,
+from demflow.scheme import (Grid1D, beta, cfl_dt, hyperbolic_step, initial_grid,
                             interface_fluxes, ensemble_flux, run)
-from demflow.state import (Conserved, MixtureCell, PhaseCellState, Primitive,
+from demflow.state import (MixtureCell, PhaseCellState, Primitive, cell_rows,
                            cons_to_prim, prim_to_cons)
 
 GAS = EosParams(1.4, 0.0)
@@ -22,10 +23,10 @@ LIQUID = EosParams(4.4, 6.0e8)
 
 def make_grid(a1, v1, v2, x_min=-1.0, x_max=1.0, eos1=GAS, eos2=LIQUID):
     a1 = np.asarray(a1, dtype=float)
-    return Grid1D(x_min, x_max, a1.size, MixtureCell(
+    return Grid1D(x_min, x_max, cell_rows(MixtureCell(
         PhaseCellState(alpha=a1, cons=prim_to_cons(v1, eos1)),
         PhaseCellState(alpha=1.0 - a1, cons=prim_to_cons(v2, eos2)),
-    ))
+    )))
 
 
 def uniform_primitive(n, rho, u, p):
@@ -107,7 +108,7 @@ def reference_step(grid, r_values, dt, eos1=GAS, eos2=LIQUID):
     lam = dt / grid.dx
     out = {}
     for k in (1, 2):
-        U = prim_to_cons(v[k], eos[k]).as_array()
+        U = grid.state[4 * k - 3:4 * k]
         aU = a[k] * U - lam * (E[k][:, 1:] - E[k][:, :-1]) \
             + lam * (plus[k][:, :-1] + minus[k][:, 1:])
         alpha_new = a[k] + lam * (vplus[k][:-1] + vminus[k][1:])
@@ -176,8 +177,8 @@ def godunov_update(v, eos, dt, dx):
         fan = hllc(thermo_state(Primitive(v.rho[il], v.u[il], v.p[il]), eos),
                    thermo_state(Primitive(v.rho[ir], v.u[ir], v.p[ir]), eos))
         flux[:, j] = fan.flux0
-    U = prim_to_cons(v, eos).as_array()
-    return U - dt / dx * (flux[:, 1:] - flux[:, :-1])
+    c = prim_to_cons(v, eos)
+    return np.array([c.mass, c.momentum, c.energy]) - dt / dx * (flux[:, 1:] - flux[:, :-1])
 
 
 @pytest.mark.parametrize("r", [0.0, 0.6, 1.0])
@@ -194,11 +195,10 @@ def test_pure_phase_reduces_to_single_phase_godunov(r):
     a1, _, a2, _ = phase_prims(out)
     assert np.all(a1 == 1.0) and np.all(a2 == 0.0)
     expected = godunov_update(v1, GAS, dt, grid.dx)
-    got = out.cells.phase1.cons.as_array()
+    got = out.state[1:4]
     assert np.max(np.abs(got - expected) / (np.abs(expected) + 1.0)) < 1e-13
     # virtual phase untouched
-    assert np.array_equal(out.cells.phase2.cons.as_array(),
-                          grid.cells.phase2.cons.as_array())
+    assert np.array_equal(out.state[5:], grid.state[5:])
 
 
 def test_uniform_alpha_r0_decouples_the_phases():
@@ -213,9 +213,8 @@ def test_uniform_alpha_r0_decouples_the_phases():
     out = hyperbolic_step(grid, constant_field(grid, 0.0), dt, GAS, LIQUID)
     a1, _, _, _ = phase_prims(out)
     assert np.allclose(a1, 0.5, atol=1e-15)
-    for phase, v, eos in ((out.cells.phase1, v1, GAS), (out.cells.phase2, v2, LIQUID)):
+    for got, v, eos in ((out.state[1:4], v1, GAS), (out.state[5:], v2, LIQUID)):
         expected = godunov_update(v, eos, dt, grid.dx)
-        got = phase.cons.as_array()
         assert np.max(np.abs(got - expected) / (np.abs(expected) + 1.0)) < 1e-11
 
 
@@ -234,7 +233,7 @@ def test_step_matches_scalar_reference(seed):
     for k, phase in ((1, out.cells.phase1), (2, out.cells.phase2)):
         alpha_ref, U_ref = ref[k]
         assert np.max(np.abs(np.asarray(phase.alpha) - alpha_ref)) < 1e-13
-        got = phase.cons.as_array()
+        got = out.state[4 * k - 3:4 * k]
         assert np.max(np.abs(got - U_ref) / (np.abs(U_ref) + 1.0)) < 1e-12
 
 
@@ -252,12 +251,8 @@ def test_saturation_preserved_each_step():
 
 
 def step_state(grid, r, dt):
-    out = hyperbolic_step(grid, constant_field(grid, r), dt, GAS, LIQUID)
-    stacked = []
-    for phase in (out.cells.phase1, out.cells.phase2):
-        alpha = np.asarray(phase.alpha)
-        stacked.append(np.vstack([alpha, alpha * phase.cons.as_array()]))
-    return np.vstack(stacked)
+    s = hyperbolic_step(grid, constant_field(grid, r), dt, GAS, LIQUID).state
+    return np.vstack([s[:1], s[:1] * s[1:4], s[4:5], s[4:5] * s[5:]])
 
 
 def test_update_affine_in_r_and_sandwiched():
@@ -278,14 +273,8 @@ def test_update_affine_in_r_and_sandwiched():
 
 def mirror(grid):
     """Reflect x -> -x: reverse the cells and negate the momenta."""
-    def phase(ph):
-        c = ph.cons
-        return PhaseCellState(alpha=np.asarray(ph.alpha)[::-1],
-                              cons=Conserved(np.asarray(c.mass)[::-1],
-                                             -np.asarray(c.momentum)[::-1],
-                                             np.asarray(c.energy)[::-1]))
-    return Grid1D(grid.x_min, grid.x_max, grid.n_cells,
-                  MixtureCell(phase(grid.cells.phase1), phase(grid.cells.phase2)))
+    sign = np.array([1.0, 1.0, -1.0, 1.0, 1.0, 1.0, -1.0, 1.0])[:, None]
+    return Grid1D(grid.x_min, grid.x_max, sign * grid.state[:, ::-1])
 
 
 def test_one_step_mirror_symmetry_with_random_r():
@@ -300,10 +289,8 @@ def test_one_step_mirror_symmetry_with_random_r():
         direct = hyperbolic_step(grid, field, dt, GAS, LIQUID)
         mirrored = mirror(hyperbolic_step(mirror(grid), replace(field, values=r[::-1]),
                                           dt, GAS, LIQUID))
-        for a, b in ((direct.cells.phase1, mirrored.cells.phase1),
-                     (direct.cells.phase2, mirrored.cells.phase2)):
-            for x, y in zip((a.alpha, *a.cons.as_array()), (b.alpha, *b.cons.as_array())):
-                worst = max(worst, np.max(np.abs(x - y)) / np.max(np.abs(x)))
+        for x, y in zip(direct.state, mirrored.state):
+            worst = max(worst, np.max(np.abs(x - y)) / np.max(np.abs(x)))
     assert worst < 1e-12
 
 
@@ -363,10 +350,9 @@ def test_blocked_step_matches_one_block_bitwise(monkeypatch):
 
 
 def with_alpha1(grid, cell, value):
-    alpha = np.array(grid.cells.phase1.alpha, dtype=float)
-    alpha[cell] = value
-    phase1 = replace(grid.cells.phase1, alpha=alpha)
-    return replace(grid, cells=replace(grid.cells, phase1=phase1))
+    state = grid.state.copy()
+    state[0, cell] = value
+    return replace(grid, state=state)
 
 
 def test_step_fraction_errors_name_phase_and_global_cell(monkeypatch):
@@ -394,18 +380,64 @@ def test_step_rejects_regime_values_outside_unit_range():
             hyperbolic_step(grid, field, 1e-9, GAS, LIQUID)
 
 
-def test_grid_rejects_cells_of_another_length():
-    cells = random_grid(7, seed=14).cells
-    with pytest.raises(SolverError, match=r"cells\.phase1\.alpha has shape \(7,\).* \(5,\)"):
-        Grid1D(-1.0, 1.0, 5, cells)
-    energy = cells.phase2.cons.energy[:-1]
-    short = replace(cells, phase2=replace(
-        cells.phase2, cons=replace(cells.phase2.cons, energy=energy)))
-    with pytest.raises(SolverError, match=r"cells\.phase2\.cons\.energy has shape \(6,\)"):
-        Grid1D(-1.0, 1.0, 7, short)
-    scalar = replace(cells, phase1=replace(cells.phase1, alpha=0.5))
-    with pytest.raises(SolverError, match=r"cells\.phase1\.alpha has shape \(\)"):
-        Grid1D(-1.0, 1.0, 7, scalar)
+def test_grid_checks_its_state_shape_and_views_its_rows():
+    state = random_grid(7, seed=14).state
+    # 7 rows, 1-D, 0-d, 3-D, fewer than 3 cells
+    for bad in (state[:7], state[0], 0.5, state[None], state[:, :2]):
+        with pytest.raises(SolverError, match=re.escape(f"has shape {np.shape(bad)},")):
+            Grid1D(-1.0, 1.0, bad)
+    grid = Grid1D(-1.0, 1.0, state)
+    assert grid.n_cells == 7
+    assert grid.cells is grid.cells
+    for row, leaf in zip(state, step_fields(grid), strict=True):
+        assert leaf.shape == (7,) and np.shares_memory(leaf, row)
+        assert np.array_equal(leaf, row)
+    # rows are contiguous whatever the input's layout; an F-ordered state
+    # would make every row strided, and the step's output inherits it
+    assert Grid1D(-1.0, 1.0, np.asfortranarray(state)).state.flags.c_contiguous
+    assert initial_grid(preset_config("t1_uniform_vf", ["n_cells=50"])).state.flags.c_contiguous
+
+
+def fingerprint(cells):
+    """Bytes of a cells object's eight leaves, then of the primitives
+    memoised on it, in the order they were recovered."""
+    leaves = [x for ph in (cells.phase1, cells.phase2)
+              for x in (ph.alpha, ph.cons.mass, ph.cons.momentum, ph.cons.energy)]
+    memo = [x for pair in cells.__dict__.get("_primitives", {}).values()
+            for v in pair for x in (v.rho, v.u, v.p)]
+    return [np.asarray(x).tobytes() for x in leaves + memo]
+
+
+@pytest.mark.parametrize("relaxation", ["none", "continuous", "projection"])
+def test_run_never_writes_a_state_it_was_given_or_handed_on(monkeypatch, relaxation):
+    # phase_primitives keeps each recovery on its cells object: a step, a
+    # relaxer or the time loop that wrote a grid's state in place would
+    # corrupt that memo and every snapshot taken before
+    seen = []
+    make_snapshot = scheme.Snapshot
+
+    def watched(fn):
+        def call(first, *args):
+            cells = first.cells if isinstance(first, Grid1D) else first
+            seen.append((cells, fingerprint(cells)))
+            return fn(first, *args)
+        return call
+
+    def snapshot(t, grid, values):
+        seen.append((grid.cells, fingerprint(grid.cells)))
+        return make_snapshot(t, grid, values)
+
+    monkeypatch.setattr(scheme, "hyperbolic_step", watched(scheme.hyperbolic_step))
+    for mode in ("continuous", "projection"):
+        monkeypatch.setitem(scheme._RELAXERS, mode, watched(scheme._RELAXERS[mode]))
+    monkeypatch.setattr(scheme, "Snapshot", snapshot)
+    cfg = preset_config("t6_dense_dilute", ["n_cells=100", "t_end=1e-4", "snapshots=0,5e-5",
+                                            f"relaxation={relaxation}"])
+    snaps = run(cfg)
+    assert len(snaps) == 3 and len(seen) > 10
+    for cells, before in seen:
+        assert fingerprint(cells)[:len(before)] == before
+    assert snaps[0].grid.state.tobytes() == initial_grid(cfg).state.tobytes()
 
 
 # ------------------------------------------------------------- utilities
