@@ -6,8 +6,7 @@ pressure/velocity relaxation procedures."""
 from .config import PRESETS, RunConfig, parse_config, preset_config
 from .eos import EosParams, de_dp, de_drho, internal_energy, pressure_from_energy, sound_speed
 from .errors import ConfigError, DemflowError, InvalidStateError, SolverError
-from .probability import (AlphaPair, ProbabilityQuad, check_consistency,
-                          convex_quad, disperse_pair, extract_r, stratified_pair)
+from .probability import ProbabilityQuad, check_consistency, convex_quad, extract_r
 from .regime import (ConstantRegime, PiecewiseRegime, RegimeField,
                      StochasticRegime, UniformRandomRegime, init_field,
                      stochastic_update)
@@ -16,10 +15,9 @@ from .relaxation import (ReducedEquilibrium, maxwellian, projection_matrix,
 from .riemann import (AcousticInterface, ExactRiemannSolution, RiemannFan,
                       ThermoState, exact_rp, hllc, interfacial_decomposition,
                       lagrangian_flux, thermo_state)
-from .scheme import (Grid1D, InterfaceFluxSet, Snapshot, beta,
-                     boundary_lagrangian, cfl_dt, ensemble_flux,
-                     hyperbolic_step, initial_grid, interface_fluxes, run,
-                     volume_fraction_rhs)
+from .scheme import (Grid1D, InterfaceFluxSet, Snapshot, boundary_lagrangian,
+                     cfl_dt, ensemble_flux, hyperbolic_step, initial_grid,
+                     interface_fluxes, run, volume_fraction_rhs)
 from .snapshots import (FieldError, OracleSpec, compare_oracle,
                         oracle_from_string, read_snapshot, write_snapshot)
 from .state import (Conserved, MixtureCell, PhaseCellState, Primitive,

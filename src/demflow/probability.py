@@ -1,33 +1,23 @@
 """Interface probability-coefficient algebra.
 
 At each cell interface the chance of finding phase a immediately left and
-phase b immediately right is P[a, b]. Two extremal consistent pairs exist:
-the stratified pair (connected phases) and the disperse pair (disconnected
-phases); every consistent pair is a convex combination of the two, with one
+phase b immediately right is P[a, b]. Two extremal consistent quads exist:
+the stratified one (connected phases) and the disperse one (disconnected
+phases); every consistent quad is a convex combination of the two, with one
 regime parameter r in [0, 1] shared by both phases.
 
-All operations accept scalar volume fractions or same-shape arrays.
+Every function takes phase k's volume fractions in the cells left and right
+of the interface, as scalars or same-shape arrays. convex_quad checks r on
+entry. As with the EOS formulas, the fractions are not checked here but
+where cells enter the program: the config, the step's entry,
+validate_mixture and maxwellian.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidStateError, _prefixed
-from .state import _check_fraction
-
-
-@dataclass(frozen=True)
-class AlphaPair:
-    """Phase-k volume fractions in the two cells adjacent to one interface."""
-
-    alpha_left: float | np.ndarray
-    alpha_right: float | np.ndarray
-
-    def __post_init__(self):
-        for side in ("alpha_left", "alpha_right"):
-            with _prefixed(side):
-                _check_fraction(getattr(self, side))
+from .errors import InvalidStateError
 
 
 @dataclass(frozen=True)
@@ -44,41 +34,22 @@ class ProbabilityQuad:
     r: float | np.ndarray
 
 
-def _stratified(al, ar):
-    return np.minimum(al, ar), np.maximum(al - ar, 0.0)
+def convex_quad(alpha_left, alpha_right, r) -> ProbabilityQuad:
+    """Convex combination r * disperse + (1 - r) * stratified of the two
+    extremal quads, so every coefficient is affine in r bit-for-bit. r is
+    checked on entry: 0 <= r <= 1 as one min and one max (NaN fails).
 
-
-def _disperse(al, ar):
-    aq = 1.0 - ar  # complementary phase fraction on the right
-    return np.maximum(al - aq, 0.0), np.minimum(al, aq)
-
-
-def stratified_pair(a: AlphaPair):
-    """Extremal pair for connected (stratified) flow:
-    (min(aL, aR), max(aL - aR, 0))."""
-    return _stratified(np.asarray(a.alpha_left), np.asarray(a.alpha_right))
-
-
-def disperse_pair(a: AlphaPair):
-    """Extremal pair for disconnected (disperse) flow:
-    (max(aL - (1 - aR), 0), min(aL, 1 - aR))."""
-    return _disperse(np.asarray(a.alpha_left), np.asarray(a.alpha_right))
-
-
-def _check_regime(r):
-    """The regime-parameter range test 0 <= r <= 1 (NaN fails) as one min and
-    one max."""
-    if r.size and not (r.min() >= 0.0 and r.max() <= 1.0):
-        raise InvalidStateError("regime parameter r outside [0, 1]")
-
-
-def _convex_quad(al, ar, r) -> ProbabilityQuad:
-    """convex_quad on fraction arrays and an r array already checked. Phase
-    l's entries of both extremal quads are derived from the marginal sums of
+    Phase k's entries (p_kk, p_kl) are (min(aL, aR), max(aL - aR, 0)) for the
+    stratified quad and (max(aL - (1 - aR), 0), min(aL, 1 - aR)) for the
+    disperse one. Phase l's entries are derived from the marginal sums of
     phase k's, so the cross-phase identities hold by construction at both
     endpoints."""
-    s_kk, s_kl = _stratified(al, ar)
-    d_kk, d_kl = _disperse(al, ar)
+    r = np.asarray(r, dtype=float)
+    if r.size and not (r.min() >= 0.0 and r.max() <= 1.0):
+        raise InvalidStateError("regime parameter r outside [0, 1]")
+    al, ar = np.asarray(alpha_left), np.asarray(alpha_right)
+    s_kk, s_kl = np.minimum(al, ar), np.maximum(al - ar, 0.0)
+    d_kk, d_kl = np.maximum(al - (1.0 - ar), 0.0), np.minimum(al, 1.0 - ar)
     s_lk = ar - s_kk
     d_lk = ar - d_kk
     strat = (s_kk, s_kl, s_lk, 1.0 - al - s_lk)
@@ -87,19 +58,11 @@ def _convex_quad(al, ar, r) -> ProbabilityQuad:
     return ProbabilityQuad(p_kk=p_kk, p_kl=p_kl, p_lk=p_lk, p_ll=p_ll, r=r)
 
 
-def convex_quad(a: AlphaPair, r) -> ProbabilityQuad:
-    """Convex combination r * disperse + (1 - r) * stratified of the full
-    quads, so every coefficient is affine in r bit-for-bit."""
-    r = np.asarray(r, dtype=float)
-    _check_regime(r)
-    return _convex_quad(np.asarray(a.alpha_left), np.asarray(a.alpha_right), r)
-
-
-def extract_r(quad: ProbabilityQuad, a: AlphaPair):
+def extract_r(quad: ProbabilityQuad, alpha_left, alpha_right):
     """Recover the regime parameter from a consistent quad:
     r = (p_kl - max(aL - aR, 0)) / (min(aL, 1 - aR) - max(aL - aR, 0)),
     with r = 0 by convention when the denominator degenerates to zero."""
-    al, ar = np.asarray(a.alpha_left), np.asarray(a.alpha_right)
+    al, ar = np.asarray(alpha_left), np.asarray(alpha_right)
     lo = np.maximum(al - ar, 0.0)
     hi = np.minimum(al, 1.0 - ar)
     den = hi - lo
@@ -110,7 +73,8 @@ def extract_r(quad: ProbabilityQuad, a: AlphaPair):
 
 @dataclass
 class ConsistencyReport:
-    """Signed violation amounts per condition; <= tol means satisfied."""
+    """Signed violation amounts per condition; <= tol means satisfied, and a
+    NaN amount is a violation."""
 
     slack: dict = field(default_factory=dict)
     tol: float = 1e-14
@@ -120,13 +84,14 @@ class ConsistencyReport:
         return all(v <= self.tol for v in self.slack.values())
 
     def violations(self) -> dict:
-        return {k: v for k, v in self.slack.items() if v > self.tol}
+        return {k: v for k, v in self.slack.items() if not v <= self.tol}
 
 
-def check_consistency(quad: ProbabilityQuad, a: AlphaPair, tol=1e-14) -> ConsistencyReport:
+def check_consistency(quad: ProbabilityQuad, alpha_left, alpha_right,
+                      tol=1e-14) -> ConsistencyReport:
     """Evaluate every marginal identity and min/max bound; report violations
     with slack values (maximum over array inputs)."""
-    al, ar = np.asarray(a.alpha_left, dtype=float), np.asarray(a.alpha_right, dtype=float)
+    al, ar = np.asarray(alpha_left, dtype=float), np.asarray(alpha_right, dtype=float)
     kk = np.asarray(quad.p_kk, dtype=float)
     kl = np.asarray(quad.p_kl, dtype=float)
     lk = np.asarray(quad.p_lk, dtype=float)

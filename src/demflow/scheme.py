@@ -15,7 +15,7 @@ import numpy as np
 
 from .eos import sound_speed
 from .errors import DemflowError, SolverError, _prefixed
-from .probability import ProbabilityQuad, _check_regime, _convex_quad
+from .probability import ProbabilityQuad, convex_quad
 from .regime import RegimeField, StochasticRegime, UniformRandomRegime, init_field, stochastic_update
 from .relaxation import relax_continuous, relax_projection
 from .riemann import RiemannFan, ThermoState, hllc, lagrangian_flux, thermo_state
@@ -70,36 +70,31 @@ class Grid1D:
         return self.x_min + np.arange(self.n_cells + 1) * self.dx
 
 
-def beta(sigma):
-    """Flux indicator: +1 where the contact speed is >= 0, else -1.
-    (beta)+ and (-beta)+ act as {0, 1} switches on the cross-phase terms."""
-    return np.where(np.asarray(sigma) >= 0.0, 1, -1)
-
-
 @dataclass(frozen=True)
 class InterfaceFluxSet:
     """Everything one interface contributes: the four phase-pairing fans,
-    the probability quad (phase 1 as k), and the cross-pair flux indicators."""
+    the probability quad (phase 1 as k), and the cross-pair switches: on_12
+    is 1.0 where fan_12's contact speed is >= 0 (its sampled Godunov state
+    belongs to phase 1), else 0.0; on_21 likewise for fan_21 (phase 2)."""
 
     fan_11: RiemannFan
     fan_12: RiemannFan
     fan_21: RiemannFan
     fan_22: RiemannFan
     quad: ProbabilityQuad
-    beta_12: np.ndarray
-    beta_21: np.ndarray
+    on_12: np.ndarray
+    on_21: np.ndarray
 
 
 def _edge_copied(grid: Grid1D, regime: RegimeField, eos1, eos2):
-    """Check a step's inputs once and edge-copy them: rows rho1, u1, p1, rho2,
+    """Check a step's cells once and edge-copy them: rows rho1, u1, p1, rho2,
     u2, p2, alpha1 over n + 2 cells, the two outer ones copies of their edge
-    cell (transmissive boundary), and r as floats. Primitives come from
-    phase_primitives (recovered once per cells object); the range checks name
-    the global cell."""
+    cell (transmissive boundary). Primitives come from phase_primitives
+    (recovered once per cells object); the range checks name the global cell.
+    Only the regime field's shape is checked here: convex_quad checks its
+    values in _interface_block."""
     if np.shape(regime.values) != (grid.n_cells + 1,):
         raise SolverError("regime field does not match the grid's interfaces")
-    r = np.asarray(regime.values, dtype=float)
-    _check_regime(r)
     alpha1 = grid.cells.phase1.alpha
     with _prefixed("phase 1"):
         _check_fraction(alpha1)
@@ -110,7 +105,7 @@ def _edge_copied(grid: Grid1D, regime: RegimeField, eos1, eos2):
         row[1:-1] = x
     cells[:, 0] = cells[:, 1]
     cells[:, -1] = cells[:, -2]
-    return cells, r
+    return cells
 
 
 def _interface_block(cells, r, eos1, eos2) -> InterfaceFluxSet:
@@ -120,6 +115,7 @@ def _interface_block(cells, r, eos1, eos2) -> InterfaceFluxSet:
     The equation of state is evaluated once per phase on the m cells; all four
     pairings read left/right views of those two records."""
     rho1, u1, p1, rho2, u2, p2, alpha1 = cells
+    quad = convex_quad(alpha1[:-1], alpha1[1:], r)
 
     def side_records(v, eos):
         rec = thermo_state(v, eos)
@@ -132,9 +128,9 @@ def _interface_block(cells, r, eos1, eos2) -> InterfaceFluxSet:
     fan_12 = hllc(t1_left, t2_right)
     fan_21 = hllc(t2_left, t1_right)
     fan_22 = hllc(t2_left, t2_right)
-    quad = _convex_quad(alpha1[:-1], alpha1[1:], r)
     return InterfaceFluxSet(fan_11, fan_12, fan_21, fan_22, quad,
-                            beta(fan_12.sigma), beta(fan_21.sigma))
+                            (fan_12.sigma >= 0.0).astype(float),
+                            (fan_21.sigma >= 0.0).astype(float))
 
 
 def interface_fluxes(grid: Grid1D, regime: RegimeField, eos1, eos2) -> InterfaceFluxSet:
@@ -144,17 +140,15 @@ def interface_fluxes(grid: Grid1D, regime: RegimeField, eos1, eos2) -> Interface
 
     Interface i sits between cells i - 1 and i; the two outer interfaces see
     a copy of their edge cell (transmissive boundary)."""
-    cells, r = _edge_copied(grid, regime, eos1, eos2)
-    return _interface_block(cells, r, eos1, eos2)
+    cells = _edge_copied(grid, regime, eos1, eos2)
+    return _interface_block(cells, regime.values, eos1, eos2)
 
 
 def ensemble_flux(ifs: InterfaceFluxSet):
     """Probability-weighted conservative flux per phase at each interface.
     Cross-phase candidates only count when the sampled Godunov state belongs
-    to the receiving phase (beta switches)."""
-    q = ifs.quad
-    on12 = (ifs.beta_12 > 0).astype(float)
-    on21 = (ifs.beta_21 > 0).astype(float)
+    to the receiving phase (the on_12 / on_21 switches)."""
+    q, on12, on21 = ifs.quad, ifs.on_12, ifs.on_21
     e1 = (q.p_kk * ifs.fan_11.flux0
           + on12 * q.p_kl * ifs.fan_12.flux0
           + (1.0 - on21) * q.p_lk * ifs.fan_21.flux0)
@@ -166,12 +160,10 @@ def ensemble_flux(ifs: InterfaceFluxSet):
 
 def _lagrangian_cell_sums(ifs, weight_12, weight_21):
     """Assemble the four-term signed Lagrangian sum per cell from per-interface
-    weights: inflow terms from the left interface ((beta)+ switches) plus
-    inflow terms from the right interface ((-beta)+ switches). Phase 2's sum
+    weights: inflow terms from the left interface (where a switch is on) plus
+    inflow terms from the right interface (where it is off). Phase 2's sum
     is the exact negative of phase 1's."""
-    q = ifs.quad
-    on12 = (ifs.beta_12 > 0).astype(float)
-    on21 = (ifs.beta_21 > 0).astype(float)
+    q, on12, on21 = ifs.quad, ifs.on_12, ifs.on_21
     term21 = q.p_lk * weight_21
     term12 = q.p_kl * weight_12
     plus = on21 * term21 - on12 * term12
@@ -217,17 +209,18 @@ def hyperbolic_step(grid: Grid1D, regime: RegimeField, dt, eos1, eos2) -> Grid1D
     split. The step sweeps them in even blocks of at most _BLOCK_CELLS, each
     with its two halo cells, so a large grid's temporaries stay small; every
     split gives the same bits, and a grid of up to _BLOCK_CELLS cells is one
-    block. The inputs are checked once, on the whole grid, and so is the new
-    state.
+    block. The cells are checked once, on the whole grid, and so is the new
+    state; r is checked by convex_quad in each block, so once per step on a
+    grid of one block.
     """
-    cells, r = _edge_copied(grid, regime, eos1, eos2)
+    cells = _edge_copied(grid, regime, eos1, eos2)
     n = grid.n_cells
     n_blocks = -(-n // _BLOCK_CELLS)
     bounds = [k * n // n_blocks for k in range(n_blocks + 1)]
     lam = dt / grid.dx
 
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        ifs = _interface_block(cells[:, lo:hi + 2], r[lo:hi + 1], eos1, eos2)
+        ifs = _interface_block(cells[:, lo:hi + 2], regime.values[lo:hi + 1], eos1, eos2)
         e1, e2 = ensemble_flux(ifs)
         l1, l2 = boundary_lagrangian(ifs)
         w1, w2 = volume_fraction_rhs(ifs)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from demflow.config import preset_config
-from demflow.probability import AlphaPair, check_consistency, convex_quad, extract_r
+from demflow.probability import check_consistency, convex_quad, extract_r
 from demflow.regime import ConstantRegime, init_field
 from demflow.relaxation import (kernel_range_vectors, projection_matrix,
                                 reduced_jacobian, relax_continuous,
@@ -161,24 +161,24 @@ def test_criterion_5_probability_algebra():
     randomized volume-fraction/regime triples."""
     rng = np.random.default_rng(2024)
     n = 120_000
-    a = AlphaPair(rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n))
+    al, ar = rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)
     r = rng.uniform(0.0, 1.0, n)
-    quad = convex_quad(a, r)
-    rep = check_consistency(quad, a, tol=1e-14)
+    quad = convex_quad(al, ar, r)
+    rep = check_consistency(quad, al, ar, tol=1e-14)
     four_way = rep.slack["four_way_sum"]
 
-    back = extract_r(quad, a)
-    lo = np.maximum(a.alpha_left - a.alpha_right, 0.0)
-    hi = np.minimum(a.alpha_left, 1.0 - a.alpha_right)
+    back = extract_r(quad, al, ar)
+    lo = np.maximum(al - ar, 0.0)
+    hi = np.minimum(al, 1.0 - ar)
     clear = hi - lo > 1e-3
     round_trip = float(np.max(np.abs(back[clear] - r[clear])))
 
-    a_l = AlphaPair(1.0 - a.alpha_left, 1.0 - a.alpha_right)
+    bl, br = 1.0 - al, 1.0 - ar
     quad_l = type(quad)(p_kk=quad.p_ll, p_kl=quad.p_lk, p_lk=quad.p_kl,
                         p_ll=quad.p_kk, r=quad.r)
-    r_l = extract_r(quad_l, a_l)
-    lo_l = np.maximum(a_l.alpha_left - a_l.alpha_right, 0.0)
-    hi_l = np.minimum(a_l.alpha_left, 1.0 - a_l.alpha_right)
+    r_l = extract_r(quad_l, bl, br)
+    lo_l = np.maximum(bl - br, 0.0)
+    hi_l = np.minimum(bl, 1.0 - br)
     both = clear & (hi_l - lo_l > 1e-3)
     symmetry = float(np.max(np.abs(back[both] - r_l[both])))
 

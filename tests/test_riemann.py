@@ -121,15 +121,20 @@ def test_hllc_flux_vector_splitting_in_star_region():
 
 def test_hllc_matches_acoustic_form_with_davis_impedances():
     # with Z = rho |u - outer wave speed| the HLLC sigma and p* are exactly
-    # the acoustic interfacial formulas
-    left, right = random_pairs(2000, GAS, LIQUID, seed=3)
-    fan = hllc(thermo_state(left, GAS), thermo_state(right, LIQUID))
-    z_l = left.rho * (left.u - fan.s_left)
-    z_r = right.rho * (fan.s_right - right.u)
-    ac = interfacial_decomposition(left, right, z_l, z_r)
-    assert np.max(np.abs(ac.sigma - fan.sigma) /
-                  (np.abs(fan.sigma) + 1.0)) < 1e-11
-    assert np.max(np.abs(ac.p_star - fan.p_star) / np.abs(fan.p_star)) < 1e-11
+    # the acoustic interfacial formulas. The p* gap is scaled by the largest
+    # pressure in play: on strong expansions p* itself can be near zero
+    # (cancelling 1e9 Pa inputs), and the formulas agree to round-off of
+    # the inputs, not of p*.
+    for seed in range(20):
+        left, right = random_pairs(2000, GAS, LIQUID, seed=seed)
+        fan = hllc(thermo_state(left, GAS), thermo_state(right, LIQUID))
+        z_l = left.rho * (left.u - fan.s_left)
+        z_r = right.rho * (fan.s_right - right.u)
+        ac = interfacial_decomposition(left, right, z_l, z_r)
+        assert np.max(np.abs(ac.sigma - fan.sigma) /
+                      (np.abs(fan.sigma) + 1.0)) < 1e-12, seed
+        p_scale = np.maximum.reduce([np.abs(fan.p_star), np.abs(left.p), np.abs(right.p)])
+        assert np.max(np.abs(ac.p_star - fan.p_star) / p_scale) < 1e-12, seed
 
 
 def test_hllc_converges_to_acoustic_for_near_equal_states():

@@ -9,10 +9,10 @@ from demflow import scheme, state
 from demflow.config import preset_config
 from demflow.eos import EosParams
 from demflow.errors import InvalidStateError, SolverError
-from demflow.probability import AlphaPair, convex_quad
+from demflow.probability import convex_quad
 from demflow.regime import ConstantRegime, init_field
 from demflow.riemann import hllc, lagrangian_flux, thermo_state
-from demflow.scheme import (Grid1D, beta, cfl_dt, hyperbolic_step, initial_grid,
+from demflow.scheme import (Grid1D, cfl_dt, hyperbolic_step, initial_grid,
                             interface_fluxes, ensemble_flux, run)
 from demflow.state import (MixtureCell, PhaseCellState, Primitive, cell_rows,
                            cons_to_prim, prim_to_cons)
@@ -84,7 +84,7 @@ def reference_step(grid, r_values, dt, eos1=GAS, eos2=LIQUID):
             for kr in (1, 2):
                 fan[kl, kr] = hllc(thermo_state(prim(kl, il), eos[kl]),
                                    thermo_state(prim(kr, ir), eos[kr]))
-        quad = convex_quad(AlphaPair(val(a[1], il), val(a[1], ir)), r_values[j])
+        quad = convex_quad(val(a[1], il), val(a[1], ir), r_values[j])
         prob = {(1, 1): float(quad.p_kk), (1, 2): float(quad.p_kl),
                 (2, 1): float(quad.p_lk), (2, 2): float(quad.p_ll)}
         b = {(kl, kr): (1.0 if fan[kl, kr].sigma >= 0.0 else -1.0)
@@ -116,13 +116,19 @@ def reference_step(grid, r_values, dt, eos1=GAS, eos2=LIQUID):
     return out
 
 
-# ------------------------------------------------------------------ beta
+# ------------------------------------------------------ cross-pair switches
 
-def test_beta_is_sign_with_positive_zero():
-    assert beta(3.2) == 1
-    assert beta(-3.2) == -1
-    assert beta(0.0) == 1
-    assert np.array_equal(beta(np.array([-1.0, 0.0, 2.0])), [-1, 1, 1])
+def test_cross_pair_switches_are_on_at_zero_contact_speed():
+    # gas and liquid at rest at equal pressure: both cross-pair contacts
+    # stand still (sigma is -0.0), and a contact at 0 counts as >= 0, so its
+    # sampled state belongs to the left phase
+    n = 4
+    grid = make_grid(np.full(n, 0.5), uniform_primitive(n, 1.2, 0.0, 1e5),
+                     uniform_primitive(n, 1000.0, 0.0, 1e5))
+    ifs = interface_fluxes(grid, constant_field(grid, 0.5), GAS, LIQUID)
+    for fan, on in ((ifs.fan_12, ifs.on_12), (ifs.fan_21, ifs.on_21)):
+        assert np.all(fan.sigma == 0.0)
+        assert on.dtype == float and np.all(on == 1.0)
 
 
 # ------------------------------------------------- fixed points / limits
@@ -370,14 +376,17 @@ def test_step_fraction_errors_name_phase_and_global_cell(monkeypatch):
         hyperbolic_step(grid, constant_field(grid, 0.3), 1e-9, GAS, LIQUID)
 
 
-def test_step_rejects_regime_values_outside_unit_range():
-    grid = random_grid(8, seed=13)
-    for bad in (np.nan, 1.5, -np.inf):
-        r = np.full(grid.n_cells + 1, 0.5)
-        r[6] = bad
-        field = replace(constant_field(grid, 0.0), values=r)
-        with pytest.raises(InvalidStateError, match=r"regime parameter r outside"):
-            hyperbolic_step(grid, field, 1e-9, GAS, LIQUID)
+def test_step_rejects_regime_values_outside_unit_range(monkeypatch):
+    # one block, then a bad r in the last of five blocks
+    for n, face, block in ((8, 6, scheme._BLOCK_CELLS), (40, 33, 8)):
+        monkeypatch.setattr(scheme, "_BLOCK_CELLS", block)
+        grid = random_grid(n, seed=13)
+        for bad in (np.nan, 1.5, -np.inf):
+            r = np.full(grid.n_cells + 1, 0.5)
+            r[face] = bad
+            field = replace(constant_field(grid, 0.0), values=r)
+            with pytest.raises(InvalidStateError, match=r"regime parameter r outside"):
+                hyperbolic_step(grid, field, 1e-9, GAS, LIQUID)
 
 
 def test_grid_checks_its_state_shape_and_views_its_rows():
@@ -480,7 +489,7 @@ def test_outer_interfaces_solve_edge_cell_against_itself():
             assert np.array_equal(fan.flux0[:, face], hllc(edge, edge).flux0)
     a1 = np.asarray(grid.cells.phase1.alpha)
     assert np.array_equal(ifs.quad.p_kk[[0, -1]],
-                          convex_quad(AlphaPair(a1[[0, -1]], a1[[0, -1]]), 0.3).p_kk)
+                          convex_quad(a1[[0, -1]], a1[[0, -1]], 0.3).p_kk)
 
 
 def test_ensemble_flux_reduces_to_alpha_weighted_godunov_at_r0():
