@@ -164,11 +164,18 @@ def _build(entries) -> RunConfig:
     if not x_min < diaphragm < x_max:
         raise ConfigError("diaphragm must lie inside the domain", origin("diaphragm"))
 
-    try:
-        eos1 = EosParams(take("gamma1", float), take("pi_inf1", float))
-        eos2 = EosParams(take("gamma2", float), take("pi_inf2", float))
-    except DemflowError as exc:
-        raise ConfigError(str(exc)) from exc
+    def built(kind, keys, label=None, **values):
+        """kind(**values); a check's error names the line or override of the
+        key (keys: field -> key) its rule reads, then `label`."""
+        try:
+            return kind(**values)
+        except DemflowError as exc:
+            raise ConfigError(f"{label}: {exc}" if label else str(exc),
+                              origin(keys[exc.field])) from exc
+
+    eos1, eos2 = (built(EosParams, {"gamma": f"gamma{k}", "pi_inf": f"pi_inf{k}"}, f"phase {k}",
+                        gamma=take(f"gamma{k}", float), pi_inf=take(f"pi_inf{k}", float))
+                  for k in (1, 2))
 
     def side(prefix, phase, eos):
         init = PhaseSideInit(
@@ -205,27 +212,23 @@ def _build(entries) -> RunConfig:
     if regime not in REGIME_MODES:
         raise ConfigError(f"regime must be one of {REGIME_MODES}", origin("regime"))
     if regime == "constant":
-        policy = ConstantRegime(take("regime_r", float, 0.0))
+        policy = built(ConstantRegime, {"value": "regime_r"}, value=take("regime_r", float, 0.0))
     elif regime == "piecewise":
         bps = take("regime_breakpoints", float_list)
         vals = take("regime_values", float_list)
         if bps is None or vals is None:
             raise ConfigError("piecewise regime needs regime_breakpoints and regime_values")
-        policy = PiecewiseRegime(bps, vals)
+        policy = built(PiecewiseRegime,
+                       {"breakpoints": "regime_breakpoints", "values": "regime_values"},
+                       breakpoints=bps, values=vals)
     elif regime == "stochastic":
         eps = take("regime_epsilon", float)
         if eps is None:
             raise ConfigError("stochastic regime needs regime_epsilon")
-        if eps < 0.0:
-            raise ConfigError("regime_epsilon must be non-negative", origin("regime_epsilon"))
-        policy = StochasticRegime(epsilon=eps, seed=seed,
-                                  initial=take("regime_r0", float, 0.0))
+        policy = built(StochasticRegime, {"epsilon": "regime_epsilon", "initial": "regime_r0"},
+                       epsilon=eps, seed=seed, initial=take("regime_r0", float, 0.0))
     else:
         policy = UniformRandomRegime(seed=seed)
-    if isinstance(policy, ConstantRegime) and not 0.0 <= policy.value <= 1.0:
-        raise ConfigError("regime_r must lie in [0, 1]", origin("regime_r"))
-    if isinstance(policy, StochasticRegime) and not 0.0 <= policy.initial <= 1.0:
-        raise ConfigError("regime_r0 must lie in [0, 1]", origin("regime_r0"))
 
     snapshot_times = take("snapshots", float_list, ())
     for s in snapshot_times:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidStateError
+from .errors import InvalidStateError, _require
 
 
 @dataclass(frozen=True)
@@ -26,10 +26,10 @@ class EosParams:
     pi_inf: float = 0.0
 
     def __post_init__(self):
-        if not self.gamma > 1.0:
-            raise InvalidStateError(f"gamma must exceed 1, got {self.gamma}")
-        if not self.pi_inf >= 0.0:
-            raise InvalidStateError(f"pi_inf must be non-negative, got {self.pi_inf}")
+        _require(self.gamma > 1.0, InvalidStateError, "gamma",
+                 f"gamma must exceed 1, got {self.gamma}")
+        _require(self.pi_inf >= 0.0, InvalidStateError, "pi_inf",
+                 f"pi_inf must be non-negative, got {self.pi_inf}")
 
 
 def _first_bad_index(mask):

@@ -24,9 +24,17 @@ class ConfigError(DemflowError):
 
 
 @contextmanager
-def _prefixed(label, suffix=""):
-    """Re-raise an InvalidStateError from the block as 'label: message suffix'."""
+def _prefixed(label):
+    """Re-raise an InvalidStateError from the block as 'label: message'."""
     try:
         yield
     except InvalidStateError as exc:
-        raise InvalidStateError(f"{label}: {exc}{suffix}") from None
+        raise InvalidStateError(f"{label}: {exc}") from None
+
+
+def _require(ok, kind, field, message):
+    """Unless ok, raise kind(message) whose `field` names the failing field."""
+    if not ok:
+        exc = kind(message)
+        exc.field = field
+        raise exc

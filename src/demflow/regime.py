@@ -4,14 +4,15 @@ r = 0 selects the stratified probability pair, r = 1 the disperse one.
 Policies: constant, piecewise-constant in x, stochastic random-walk updates
 (clamped to [0, 1]), and a uniform-resample comparison mode drawing fresh
 U[0, 1] values each step (distribution bounds are an assumption; the use
-case only states "uniformly randomly chosen").
+case only states "uniformly randomly chosen"). Each policy checks its values
+where it is built; init_field checks only what needs the grid.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _require
 
 # recorded in output metadata so runs are reproducible across builds
 RNG_ALGORITHM = "numpy-pcg64"
@@ -20,6 +21,10 @@ RNG_ALGORITHM = "numpy-pcg64"
 @dataclass(frozen=True)
 class ConstantRegime:
     value: float
+
+    def __post_init__(self):
+        _require(0.0 <= self.value <= 1.0, ConfigError, "value",
+                 f"regime value {self.value} outside [0, 1]")
 
     def describe(self):
         return f"constant:r={self.value:g}"
@@ -32,6 +37,14 @@ class PiecewiseRegime:
 
     breakpoints: tuple
     values: tuple
+
+    def __post_init__(self):
+        _require(len(self.breakpoints) + 1 == len(self.values), ConfigError, "values",
+                 "piecewise regime needs len(values) == len(breakpoints) + 1")
+        _require(all(a < b for a, b in zip(self.breakpoints, self.breakpoints[1:])), ConfigError,
+                 "breakpoints", "piecewise regime breakpoints must be strictly increasing")
+        for v in self.values:
+            _require(0.0 <= v <= 1.0, ConfigError, "values", f"regime value {v} outside [0, 1]")
 
     def describe(self):
         bps = ",".join(f"{b:g}" for b in self.breakpoints)
@@ -46,6 +59,12 @@ class StochasticRegime:
     epsilon: float
     seed: int
     initial: float = 0.0
+
+    def __post_init__(self):
+        _require(self.epsilon >= 0.0, ConfigError, "epsilon",
+                 f"regime epsilon must be non-negative, got {self.epsilon}")
+        _require(0.0 <= self.initial <= 1.0, ConfigError, "initial",
+                 f"regime value {self.initial} outside [0, 1]")
 
     def describe(self):
         return f"stochastic:epsilon={self.epsilon:g}:r0={self.initial:g}:seed={self.seed}"
@@ -76,24 +95,15 @@ def init_field(policy, grid) -> RegimeField:
     """Sample the policy at the grid's interface positions."""
     xs = grid.interface_positions()
     if isinstance(policy, ConstantRegime):
-        _check_unit(policy.value)
         values = np.full(xs.shape, float(policy.value))
         return RegimeField(values, policy)
     if isinstance(policy, PiecewiseRegime):
         bps = np.asarray(policy.breakpoints, dtype=float)
-        vals = np.asarray(policy.values, dtype=float)
-        if bps.size + 1 != vals.size:
-            raise ConfigError("piecewise regime needs len(values) == len(breakpoints) + 1")
-        if np.any(np.diff(bps) <= 0.0):
-            raise ConfigError("piecewise regime breakpoints must be strictly increasing")
         if np.any(bps <= grid.x_min) or np.any(bps >= grid.x_max):
             raise ConfigError("piecewise regime breakpoints outside the domain")
-        for v in vals:
-            _check_unit(v)
-        values = vals[np.searchsorted(bps, xs, side="right")]
+        values = np.asarray(policy.values, dtype=float)[np.searchsorted(bps, xs, side="right")]
         return RegimeField(values, policy)
     if isinstance(policy, StochasticRegime):
-        _check_unit(policy.initial)
         rng = np.random.default_rng(policy.seed)
         values = np.full(xs.shape, float(policy.initial))
         return RegimeField(values, policy, rng)
@@ -113,8 +123,3 @@ def stochastic_update(field: RegimeField) -> RegimeField:
     if isinstance(field.policy, UniformRandomRegime):
         return replace(field, values=field.rng.random(field.values.shape))
     raise ConfigError(f"policy {field.policy!r} has no stochastic update")
-
-
-def _check_unit(v):
-    if not 0.0 <= v <= 1.0:
-        raise ConfigError(f"regime value {v} outside [0, 1]")

@@ -16,8 +16,8 @@ import numpy as np
 
 from .eos import EosParams, _at_cell, _first_bad_index, internal_energy, sound_speed
 from .errors import InvalidStateError, _prefixed
-from .state import (MixtureCell, PhaseCellState, Primitive, _check_fraction, _mixture,
-                    phase_primitives, prim_to_cons)
+from .state import (MixtureCell, PhaseCellState, Primitive, _check_fraction,
+                    mixture_quantities, phase_primitives, prim_to_cons)
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,9 @@ def reduce_equilibrium(cell: MixtureCell, eos1: EosParams, eos2: EosParams) -> R
     """Project a cell onto reduced variables (mass-weighted velocity,
     volume-weighted pressure); inverse of maxwellian on equilibrium cells."""
     v1, v2 = phase_primitives(cell, eos1, eos2)
-    a1, a2 = cell.phase1.alpha, cell.phase2.alpha
-    _, u, p = _mixture(a1, v1, a2, v2)
-    return ReducedEquilibrium(alpha1=a1, rho1=v1.rho, u=u, p=p, alpha2=a2, rho2=v2.rho)
+    _, u, p = mixture_quantities(cell, eos1, eos2)
+    return ReducedEquilibrium(alpha1=cell.phase1.alpha, rho1=v1.rho, u=u, p=p,
+                              alpha2=cell.phase2.alpha, rho2=v2.rho)
 
 
 def _phase_arrays(cell, eos1, eos2):

@@ -152,6 +152,10 @@ def interfacial_decomposition(left: Primitive, right: Primitive,
     )
 
 
+# exact_rp's relative tolerance (pressure step and residual) and iteration cap
+_TOL, _MAX_ITER = 1e-10, 100
+
+
 class _Side:
     """Per-side constants of the exact solver, in shifted-pressure form
     (every pressure enters as p + pi_inf, which reduces the stiffened gas to
@@ -222,13 +226,9 @@ class ExactRiemannSolution:
     left of the contact the left material applies, right of it the right one.
     """
 
-    def __init__(self, left: Primitive, right: Primitive, eos_left: EosParams,
-                 eos_right: EosParams, p_star, u_star, residual, iterations):
-        self._left = _Side(left, eos_left)
-        # mirrored right side: the right wave of (rho_R, u_R, p_R) is the left
-        # wave of (rho_R, -u_R, p_R) under xi -> -xi
-        self._right_m = _Side(Primitive(right.rho, -np.asarray(right.u, dtype=float),
-                                        right.p), eos_right)
+    def __init__(self, left: _Side, right_m: _Side, p_star, u_star, residual, iterations):
+        self._left = left
+        self._right_m = right_m
         self.p_star = float(p_star)
         self.u_star = float(u_star)
         self.residual = float(residual)
@@ -265,7 +265,7 @@ def _two_rarefaction_guess(sl: _Side, sr: _Side, du):
 
 
 def exact_rp(left: Primitive, right: Primitive, eos_left: EosParams,
-             eos_right: EosParams, tol=1e-10, max_iter=100) -> ExactRiemannSolution:
+             eos_right: EosParams) -> ExactRiemannSolution:
     """Exact Riemann solver with per-side stiffened-gas parameters.
 
     Newton iteration on the monotone pressure function (shock and rarefaction
@@ -278,8 +278,10 @@ def exact_rp(left: Primitive, right: Primitive, eos_left: EosParams,
         with _prefixed(f"{side} state"):
             _check_admissible(v.rho, v.p, eos)
     sl = _Side(left, eos_left)
-    sr = _Side(right, eos_right)
-    du = sr.u - sl.u
+    # the right side mirrored: the right wave of (rho_R, u_R, p_R) is the left
+    # wave of (rho_R, -u_R, p_R) under xi -> -xi; f and df do not read u
+    sr = _Side(Primitive(right.rho, -np.asarray(right.u, dtype=float), right.p), eos_right)
+    du = -sr.u - sl.u
     scale = max(sl.a, sr.a, abs(du), 1e-30)
 
     p_floor = -min(sl.pi, sr.pi)
@@ -305,9 +307,7 @@ def exact_rp(left: Primitive, right: Primitive, eos_left: EosParams,
     span = hi - lo
     p = guess if guess is not None and lo + 1e-12 * span < guess < hi else 0.5 * (lo + hi)
 
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         fp = f_total(p)
         if fp > 0.0:
             hi = p
@@ -319,16 +319,12 @@ def exact_rp(left: Primitive, right: Primitive, eos_left: EosParams,
             p_new = 0.5 * (lo + hi)
         dp = abs(p_new - p)
         p = p_new
-        if dp <= tol * max(p - p_floor, 1e-300) and abs(f_total(p)) <= tol * scale:
-            converged = True
+        if dp <= _TOL * max(p - p_floor, 1e-300) and abs(f_total(p)) <= _TOL * scale:
             break
-    if not converged:
-        raise SolverError(
-            f"exact Riemann solver did not converge in {max_iter} iterations"
-        )
+    else:
+        raise SolverError(f"exact Riemann solver did not converge in {_MAX_ITER} iterations")
 
-    u_star = 0.5 * (sl.u + sr.u) + 0.5 * (sr.f(p) - sl.f(p))
-    return ExactRiemannSolution(left, right, eos_left, eos_right,
-                                p_star=p, u_star=u_star,
+    u_star = 0.5 * (sl.u - sr.u) + 0.5 * (sr.f(p) - sl.f(p))
+    return ExactRiemannSolution(sl, sr, p_star=p, u_star=u_star,
                                 residual=abs(f_total(p)) / scale,
                                 iterations=iterations)

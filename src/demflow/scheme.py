@@ -14,13 +14,13 @@ from functools import cached_property
 import numpy as np
 
 from .eos import sound_speed
-from .errors import DemflowError, SolverError, _prefixed
+from .errors import DemflowError, SolverError
 from .probability import ProbabilityQuad, convex_quad
 from .regime import RegimeField, StochasticRegime, UniformRandomRegime, init_field, stochastic_update
 from .relaxation import relax_continuous, relax_projection
 from .riemann import RiemannFan, ThermoState, hllc, lagrangian_flux, thermo_state
-from .state import (Conserved, MixtureCell, PhaseCellState, Primitive, _check_fraction,
-                    cell_rows, phase_primitives, prim_to_cons, validate_mixture)
+from .state import (Conserved, MixtureCell, PhaseCellState, Primitive, cell_rows,
+                    phase_primitives, prim_to_cons, validate_mixture)
 
 # cells per block of the hyperbolic step: a block's temporaries, a few
 # hundred arrays of up to (3, block) floats (~200 KB each), stay near a
@@ -87,19 +87,15 @@ class InterfaceFluxSet:
 
 
 def _edge_copied(grid: Grid1D, regime: RegimeField, eos1, eos2):
-    """Check a step's cells once and edge-copy them: rows rho1, u1, p1, rho2,
-    u2, p2, alpha1 over n + 2 cells, the two outer ones copies of their edge
-    cell (transmissive boundary). Primitives come from phase_primitives
-    (recovered once per cells object); the range checks name the global cell.
+    """A step's cells, edge-copied: rows rho1, u1, p1, rho2, u2, p2, alpha1
+    over n + 2 cells, the two outer ones copies of their edge cell
+    (transmissive boundary), read from phase_primitives, the cells' one check.
     Only the regime field's shape is checked here: convex_quad checks its
     values in _interface_block."""
     if np.shape(regime.values) != (grid.n_cells + 1,):
         raise SolverError("regime field does not match the grid's interfaces")
-    alpha1 = grid.cells.phase1.alpha
-    with _prefixed("phase 1"):
-        _check_fraction(alpha1)
     v1, v2 = phase_primitives(grid.cells, eos1, eos2)
-    fields = (v1.rho, v1.u, v1.p, v2.rho, v2.u, v2.p, alpha1)
+    fields = (v1.rho, v1.u, v1.p, v2.rho, v2.u, v2.p, grid.cells.phase1.alpha)
     cells = np.empty((len(fields), grid.n_cells + 2))
     for row, x in zip(cells, fields):
         row[1:-1] = x
@@ -209,9 +205,8 @@ def hyperbolic_step(grid: Grid1D, regime: RegimeField, dt, eos1, eos2) -> Grid1D
     split. The step sweeps them in even blocks of at most _BLOCK_CELLS, each
     with its two halo cells, so a large grid's temporaries stay small; every
     split gives the same bits, and a grid of up to _BLOCK_CELLS cells is one
-    block. The cells are checked once, on the whole grid, and so is the new
-    state; r is checked by convex_quad in each block, so once per step on a
-    grid of one block.
+    block. It checks its cells once (phase_primitives) and the new state once
+    (validate_mixture); convex_quad checks r in each block.
     """
     cells = _edge_copied(grid, regime, eos1, eos2)
     n = grid.n_cells
@@ -285,10 +280,6 @@ def run(config) -> list:
     targets = sorted(set(float(s) for s in config.snapshot_times) | {float(config.t_end)})
     snapshots = []
     t = 0.0
-    if targets[0] == 0.0:
-        snapshots.append(Snapshot(0.0, grid, field.values.copy()))
-        targets = targets[1:]
-
     steps = 0
     for target in targets:
         while t < target:

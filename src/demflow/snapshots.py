@@ -16,7 +16,7 @@ from .config import RunConfig, preset_config
 from .errors import ConfigError
 from .regime import RNG_ALGORITHM
 from .riemann import exact_rp
-from .state import Primitive, _mixture, phase_primitives
+from .state import Primitive, mixture_quantities, phase_primitives
 
 SNAPSHOT_COLUMNS = (
     "x", "alpha1", "rho1", "u1", "p1", "rho2", "u2", "p2",
@@ -56,9 +56,8 @@ def snapshot_table(grid, regime_values, eos1, eos2) -> np.ndarray:
     """Assemble the 12 snapshot columns, shape (n_cells, 12)."""
     cells = grid.cells
     v1, v2 = phase_primitives(cells, eos1, eos2)
-    rho_mix, u_mix, p_mix = _mixture(cells.phase1.alpha, v1, cells.phase2.alpha, v2)
-    columns = (grid.cell_centers(), cells.phase1.alpha, v1.rho, v1.u, v1.p,
-               v2.rho, v2.u, v2.p, rho_mix, u_mix, p_mix, np.asarray(regime_values)[:-1])
+    columns = (grid.cell_centers(), cells.phase1.alpha, v1.rho, v1.u, v1.p, v2.rho, v2.u, v2.p,
+               *mixture_quantities(cells, eos1, eos2), np.asarray(regime_values)[:-1])
     return np.column_stack([np.asarray(c, dtype=float) for c in columns])
 
 

@@ -3,6 +3,8 @@
 Every field may hold a scalar or a numpy array, so one value of each type can
 describe a single cell or a whole grid of cells at once (struct-of-arrays);
 cell_rows stacks a grid's cells into the grid's one (8, n) state array.
+phase_primitives is the one check of a cells object, made before any reader
+gets its primitives; validate_mixture is that check with a context.
 """
 
 from dataclasses import dataclass
@@ -101,46 +103,41 @@ def _check_fraction(alpha):
 
 
 def phase_primitives(cell: MixtureCell, eos1: EosParams, eos2: EosParams):
-    """Both phases' primitives (v1, v2), recovered by cons_to_prim, which also
-    checks them, once per cells object and EOS pair. The pair is kept on the
-    object, as functools.cached_property does, so CFL, fluxes, relaxation and
-    snapshots read the recovery of the validation that made the cells."""
+    """Check each phase's volume-fraction range, then saturation, then
+    recover both phases' primitives (v1, v2) by cons_to_prim, which checks
+    them; errors name the first offending cell and phase. The pair is kept on
+    the object per EOS pair, as functools.cached_property does (nothing when
+    a check fails), so every reader gets the one check's recovery."""
     cache = cell.__dict__.setdefault("_primitives", {})
     key = (eos1, eos2)
     if key not in cache:
+        phases = ((1, cell.phase1, eos1), (2, cell.phase2, eos2))
+        for label, phase, _ in phases:
+            with _prefixed(f"phase {label}"):
+                _check_fraction(phase.alpha)
+        unsaturated = np.abs(cell.phase1.alpha + cell.phase2.alpha - 1.0) > SATURATION_TOL
+        if np.any(unsaturated):
+            raise InvalidStateError("saturation violated" + _at_cell(unsaturated))
         prims = []
-        for label, phase, eos in ((1, cell.phase1, eos1), (2, cell.phase2, eos2)):
+        for label, phase, eos in phases:
             with _prefixed(f"phase {label}"):
                 prims.append(cons_to_prim(phase.cons, eos))
         cache[key] = tuple(prims)
     return cache[key]
 
 
-def _mixture(a1, v1, a2, v2):
-    rho_mix = a1 * v1.rho + a2 * v2.rho
-    u_mix = (a1 * v1.rho * v1.u + a2 * v2.rho * v2.u) / rho_mix
-    p_mix = a1 * v1.p + a2 * v2.p
-    return rho_mix, u_mix, p_mix
-
-
 def mixture_quantities(cell: MixtureCell, eos1: EosParams, eos2: EosParams):
     """Mixture density, mass-weighted velocity and volume-weighted pressure."""
     v1, v2 = phase_primitives(cell, eos1, eos2)
-    return _mixture(cell.phase1.alpha, v1, cell.phase2.alpha, v2)
+    a1, a2 = cell.phase1.alpha, cell.phase2.alpha
+    rho_mix = a1 * v1.rho + a2 * v2.rho
+    u_mix = (a1 * v1.rho * v1.u + a2 * v2.rho * v2.u) / rho_mix
+    return rho_mix, u_mix, a1 * v1.p + a2 * v2.p
 
 
 def validate_mixture(cell: MixtureCell, eos1: EosParams, eos2: EosParams, context=""):
-    """Check volume-fraction ranges, saturation and per-phase admissibility;
-    raise InvalidStateError naming the first offending cell index and phase.
-    Returns the phases' primitives (v1, v2) (see phase_primitives)."""
-    where = f" ({context})" if context else ""
-    for label, phase in ((1, cell.phase1), (2, cell.phase2)):
-        with _prefixed(f"phase {label}", where):
-            _check_fraction(phase.alpha)
-    unsaturated = np.abs(cell.phase1.alpha + cell.phase2.alpha - 1.0) > SATURATION_TOL
-    if np.any(unsaturated):
-        raise InvalidStateError("saturation violated" + _at_cell(unsaturated) + where)
+    """phase_primitives(cell, eos1, eos2), its errors suffixed ` (context)`."""
     try:
         return phase_primitives(cell, eos1, eos2)
     except InvalidStateError as exc:
-        raise InvalidStateError(f"{exc}{where}") from None
+        raise InvalidStateError(f"{exc} ({context})" if context else str(exc)) from None

@@ -77,6 +77,21 @@ def test_config_rejects_non_finite_numbers_naming_the_override(preset, override)
         preset_config(preset, [override])
 
 
+# each value type checks its own fields; the config names the key a failing
+# rule reads (gamma1=0.5 once named nothing, and the three piecewise values
+# passed the config and failed in init_field, naming nothing)
+@pytest.mark.parametrize("preset, override", [
+    ("t1_uniform_vf", "gamma1=0.5"),
+    ("t1_uniform_vf", "pi_inf2=-1"),
+    ("t5_piecewise_r", "regime_values=0.1,0.2,1.5,0.3"),
+    ("t5_piecewise_r", "regime_breakpoints=0.5,0.2,0.7"),
+    ("t5_piecewise_r", "regime_values=0.1,0.2"),
+])
+def test_value_type_errors_name_the_override(preset, override):
+    with pytest.raises(ConfigError, match=f"^override {re.escape(override)}: "):
+        preset_config(preset, [override])
+
+
 def test_config_rejects_non_finite_numbers_naming_the_line():
     with pytest.raises(ConfigError, match=r"^line 6: t_end must be finite, got 'inf'$"):
         parse_config(MINIMAL.replace("t_end = 1e-5", "t_end = inf"))

@@ -37,6 +37,20 @@ def test_piecewise_field_reference_values():
     assert field.values[-1] == 0.69
 
 
+@pytest.mark.parametrize("build", [
+    lambda: ConstantRegime(1.5),
+    lambda: PiecewiseRegime(breakpoints=(0.1, 0.2), values=(0.1, 0.2)),
+    lambda: PiecewiseRegime(breakpoints=(0.2, 0.1), values=(0.1, 0.2, 0.3)),
+    lambda: PiecewiseRegime(breakpoints=(0.1,), values=(0.1, -0.2)),
+    lambda: StochasticRegime(epsilon=-1e-3, seed=0),
+    lambda: StochasticRegime(epsilon=1e-3, seed=0, initial=np.nan),
+], ids=["constant_range", "piecewise_count", "piecewise_order", "piecewise_range",
+        "stochastic_epsilon", "stochastic_initial"])
+def test_policies_reject_bad_values_where_they_are_built(build):
+    with pytest.raises(ConfigError):
+        build()
+
+
 def test_piecewise_breakpoints_must_lie_inside_domain():
     grid = make_grid(n=10, x_min=0.0, x_max=0.5)
     with pytest.raises(ConfigError, match="outside"):

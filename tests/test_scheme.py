@@ -11,11 +11,14 @@ from demflow.eos import EosParams
 from demflow.errors import InvalidStateError, SolverError
 from demflow.probability import convex_quad
 from demflow.regime import ConstantRegime, init_field
+from demflow.relaxation import (kernel_range_vectors, projection_matrix, reduce_equilibrium,
+                                relax_continuous, relax_projection)
 from demflow.riemann import hllc, lagrangian_flux, thermo_state
 from demflow.scheme import (Grid1D, cfl_dt, hyperbolic_step, initial_grid,
                             interface_fluxes, ensemble_flux, run)
+from demflow.snapshots import snapshot_table
 from demflow.state import (MixtureCell, PhaseCellState, Primitive, cell_rows,
-                           cons_to_prim, prim_to_cons)
+                           cons_to_prim, mixture_quantities, prim_to_cons)
 
 GAS = EosParams(1.4, 0.0)
 LIQUID = EosParams(4.4, 6.0e8)
@@ -602,3 +605,66 @@ def test_run_recovers_each_state_once(monkeypatch, name, overrides, per_step):
     run(preset_config(name, overrides))
     assert counts["steps"] > 10
     assert counts["recoveries"] == per_step * counts["steps"] + 2
+
+
+@pytest.mark.parametrize("overrides, per_step", [
+    (["n_cells=100"], 2),
+    (["n_cells=100", "relaxation=continuous"], 6),
+], ids=["t1_no_relaxation", "t1_continuous_relaxation"])
+def test_run_checks_each_state_once(monkeypatch, overrides, per_step):
+    # phase_primitives checks both phases' fractions once per cells object:
+    # one object per step, two with relaxation, whose maxwellian also checks
+    # the relaxed fractions as it builds them; the initial grid adds two
+    original = state._check_fraction
+    counts = {"checks": 0, "steps": 0}
+
+    def counted_check(alpha):
+        counts["checks"] += 1
+        return original(alpha)
+
+    step = scheme.hyperbolic_step
+
+    def counted_step(*args):
+        counts["steps"] += 1
+        return step(*args)
+
+    for module_name, module in list(sys.modules.items()):
+        if (module_name.split(".")[0] == "demflow"
+                and getattr(module, "_check_fraction", None) is original):
+            monkeypatch.setattr(module, "_check_fraction", counted_check)
+    monkeypatch.setattr(scheme, "hyperbolic_step", counted_step)
+    run(preset_config("t1_uniform_vf", overrides))
+    assert counts["steps"] > 10
+    assert counts["checks"] == per_step * counts["steps"] + 2
+
+
+def unsaturated_grid():
+    # a 10-cell t1 grid with alpha2 = 0.7 against alpha1 = 0.5 at cell 3:
+    # both fractions lie in [0, 1] and both phases are admissible
+    grid = initial_grid(preset_config("t1_uniform_vf", ["n_cells=10"]))
+    bad = grid.state.copy()
+    bad[4, 3] = 0.7
+    return replace(grid, state=bad)
+
+
+@pytest.mark.parametrize("read", [
+    lambda g: cfl_dt(g, 0.9, GAS, LIQUID),
+    lambda g: hyperbolic_step(g, constant_field(g, 0.5), 1e-9, GAS, LIQUID),
+    lambda g: interface_fluxes(g, constant_field(g, 0.5), GAS, LIQUID),
+    lambda g: relax_continuous(g.cells, GAS, LIQUID),
+    lambda g: relax_projection(g.cells, GAS, LIQUID),
+    lambda g: reduce_equilibrium(g.cells, GAS, LIQUID),
+    lambda g: projection_matrix(g.cells, GAS, LIQUID),
+    lambda g: kernel_range_vectors(g.cells, GAS, LIQUID),
+    lambda g: mixture_quantities(g.cells, GAS, LIQUID),
+    lambda g: snapshot_table(g, np.zeros(g.n_cells + 1), GAS, LIQUID),
+], ids=["cfl_dt", "hyperbolic_step", "interface_fluxes", "relax_continuous",
+        "relax_projection", "reduce_equilibrium", "projection_matrix",
+        "kernel_range_vectors", "mixture_quantities", "snapshot_table"])
+def test_every_reader_rejects_an_unsaturated_grid(read):
+    # each reader gets its primitives from phase_primitives, which checks
+    # the cells before it recovers them, and keeps nothing when they fail
+    grid = unsaturated_grid()
+    for _ in range(2):
+        with pytest.raises(InvalidStateError, match=r"^saturation violated at cell 3$"):
+            read(grid)
