@@ -13,8 +13,7 @@ from .regime import (ConstantRegime, PiecewiseRegime, RegimeField,
 from .relaxation import (ReducedEquilibrium, maxwellian, projection_matrix,
                          reduce_equilibrium, relax_continuous, relax_projection)
 from .riemann import (AcousticInterface, ExactRiemannSolution, RiemannFan,
-                      ThermoState, exact_rp, hllc, interfacial_decomposition,
-                      lagrangian_flux, thermo_state)
+                      ThermoState, exact_rp, hllc, interfacial_decomposition, thermo_state)
 from .scheme import (Grid1D, InterfaceFluxSet, Snapshot, boundary_lagrangian,
                      cfl_dt, ensemble_flux, hyperbolic_step, initial_grid,
                      interface_fluxes, run, volume_fraction_rhs)

@@ -7,6 +7,7 @@ package error prints a diagnostic and returns 1.
 """
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -48,7 +49,8 @@ def _build_parser():
     p_rp.add_argument("--gamma-right", type=float, default=1.4)
     p_rp.add_argument("--pi-right", type=float, default=0.0)
     p_rp.add_argument("--sample", metavar="XI1,XI2,...",
-                      help="sample the solution at these x/t values")
+                      help="sample the solution at these x/t values; write a list "
+                           "that starts with '-' as --sample=-1,0,1")
 
     p_cmp = sub.add_parser("compare", help="compare a snapshot to its exact solution")
     p_cmp.add_argument("snapshot", help="snapshot CSV path")
@@ -106,13 +108,16 @@ def _parse_state(text, label):
 
 
 def _float_list(text, option):
-    """The floats of a comma-separated option value, empty entries skipped."""
+    """The floats of a comma-separated option value, empty entries skipped;
+    each must be finite, as in a config."""
     values = []
     for tok in filter(str.strip, text.split(",")):
         try:
             values.append(float(tok))
         except ValueError:
             raise ConfigError(f"cannot parse {option} entry {tok!r}") from None
+        if not math.isfinite(values[-1]):
+            raise ConfigError(f"{option} must be finite, got {tok!r}")
     return values
 
 

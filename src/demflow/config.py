@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .eos import EosParams, _check_admissible
 from .errors import ConfigError, DemflowError
 from .regime import (ConstantRegime, PiecewiseRegime, StochasticRegime,
-                     UniformRandomRegime)
+                     UniformRandomRegime, check_breakpoints)
 from .state import SATURATION_TOL
 
 # volume-fraction floor for initial data; keeps nearly pure phases off the
@@ -221,6 +221,8 @@ def _build(entries) -> RunConfig:
         policy = built(PiecewiseRegime,
                        {"breakpoints": "regime_breakpoints", "values": "regime_values"},
                        breakpoints=bps, values=vals)
+        built(check_breakpoints, {"breakpoints": "regime_breakpoints"},
+              policy=policy, x_min=x_min, x_max=x_max)
     elif regime == "stochastic":
         eps = take("regime_epsilon", float)
         if eps is None:

@@ -26,10 +26,10 @@ class EosParams:
     pi_inf: float = 0.0
 
     def __post_init__(self):
-        _require(self.gamma > 1.0, InvalidStateError, "gamma",
-                 f"gamma must exceed 1, got {self.gamma}")
-        _require(self.pi_inf >= 0.0, InvalidStateError, "pi_inf",
-                 f"pi_inf must be non-negative, got {self.pi_inf}")
+        _require(1.0 < self.gamma < np.inf, InvalidStateError, "gamma",
+                 f"gamma must be finite and exceed 1, got {self.gamma}")
+        _require(0.0 <= self.pi_inf < np.inf, InvalidStateError, "pi_inf",
+                 f"pi_inf must be finite and non-negative, got {self.pi_inf}")
 
 
 def _first_bad_index(mask):

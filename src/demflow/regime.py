@@ -91,16 +91,23 @@ class RegimeField:
     rng: np.random.Generator | None = None
 
 
+def check_breakpoints(policy: PiecewiseRegime, x_min, x_max):
+    """The piecewise rule that needs the domain: every breakpoint lies strictly
+    inside (x_min, x_max). init_field and the config apply it."""
+    _require(all(x_min < b < x_max for b in policy.breakpoints), ConfigError, "breakpoints",
+             "piecewise regime breakpoints outside the domain")
+
+
 def init_field(policy, grid) -> RegimeField:
-    """Sample the policy at the grid's interface positions."""
+    """Sample the policy at the grid's interface positions. Only the stochastic
+    and uniform-resample policies get a generator (RegimeField.rng)."""
     xs = grid.interface_positions()
     if isinstance(policy, ConstantRegime):
         values = np.full(xs.shape, float(policy.value))
         return RegimeField(values, policy)
     if isinstance(policy, PiecewiseRegime):
+        check_breakpoints(policy, grid.x_min, grid.x_max)
         bps = np.asarray(policy.breakpoints, dtype=float)
-        if np.any(bps <= grid.x_min) or np.any(bps >= grid.x_max):
-            raise ConfigError("piecewise regime breakpoints outside the domain")
         values = np.asarray(policy.values, dtype=float)[np.searchsorted(bps, xs, side="right")]
         return RegimeField(values, policy)
     if isinstance(policy, StochasticRegime):

@@ -1,13 +1,13 @@
 """Riemann solvers between arbitrary phase pairings.
 
 thermo_state evaluates the equation of state once into a side record
-(rho, u, p, a, E, U, F). hllc, the workhorse flux (Davis wave speed
-estimates), reads two such records, so each side may carry its own
-stiffened-gas parameters while the solver calls no EOS function. exact_rp is
-the iterative exact solver used as an oracle. lagrangian_flux extracts the
-moving-interface flux p* [0, 1, sigma] from a solved fan, and
-interfacial_decomposition gives the closed-form acoustic contact speed /
-pressure split into symmetric and antisymmetric parts.
+(rho, u, p, a, E, F). hllc, the workhorse flux (Davis wave speed estimates),
+reads two such records, so each side may carry its own stiffened-gas
+parameters while the solver calls no EOS function; its fan carries the
+moving-interface (Lagrangian) flux p* [0, 1, sigma]. exact_rp is the
+iterative exact solver used as an oracle, and interfacial_decomposition gives
+the closed-form acoustic contact speed / pressure split into symmetric and
+antisymmetric parts.
 """
 
 from dataclasses import dataclass
@@ -16,21 +16,20 @@ from typing import NamedTuple
 import numpy as np
 
 from .eos import EosParams, _check_admissible, internal_energy, sound_speed
-from .errors import InvalidStateError, SolverError, _prefixed
+from .errors import InvalidStateError, SolverError, _prefixed, _require
 from .state import Primitive
 
 
 class ThermoState(NamedTuple):
     """Everything a Riemann solve reads from one side: primitives, sound speed,
-    specific total energy E, conserved U = [rho, rho u, rho E] and physical
-    flux F = [rho u, rho u^2 + p, u (rho E + p)], each stacked as (3, ...)."""
+    specific total energy E and physical flux
+    F = [rho u, rho u^2 + p, u (rho E + p)], stacked as (3, ...)."""
 
     rho: np.ndarray
     u: np.ndarray
     p: np.ndarray
     a: np.ndarray
     E: np.ndarray
-    U: np.ndarray
     F: np.ndarray
 
 
@@ -38,22 +37,23 @@ def thermo_state(v: Primitive, eos: EosParams) -> ThermoState:
     """Evaluate the equation of state once for an admissible primitive state."""
     rho, u, p = (np.asarray(x, dtype=float) for x in (v.rho, v.u, v.p))
     E = internal_energy(rho, p, eos) + 0.5 * u**2
-    rho_E = rho * E
-    U = np.array(np.broadcast_arrays(rho, rho * u, rho_E))
-    F = np.array(np.broadcast_arrays(rho * u, rho * u**2 + p, u * (rho_E + p)))
-    return ThermoState(rho, u, p, sound_speed(rho, p, eos), E, U, F)
+    F = np.array(np.broadcast_arrays(rho * u, rho * u**2 + p, u * (rho * E + p)))
+    return ThermoState(rho, u, p, sound_speed(rho, p, eos), E, F)
 
 
 @dataclass(frozen=True)
 class RiemannFan:
     """Solved Riemann fan: flux sampled at x/t = 0, contact speed sigma, star
-    pressure, and outer wave speed estimates."""
+    pressure, outer wave speed estimates, and the star-region Lagrangian flux
+    F* - sigma U* = p* [0, 1, sigma], shape (3, ...), the same on both sides
+    of the contact."""
 
     flux0: np.ndarray
     sigma: float | np.ndarray
     p_star: float | np.ndarray
     s_left: float | np.ndarray
     s_right: float | np.ndarray
+    lagrangian: np.ndarray
 
 
 def hllc(left: ThermoState, right: ThermoState) -> RiemannFan:
@@ -61,9 +61,10 @@ def hllc(left: ThermoState, right: ThermoState) -> RiemannFan:
     EOS (see thermo_state); the solver itself calls no EOS function.
 
     Wave speed estimates are Davis-type: s_L = min(u_L - a_L, u_R - a_R) and
-    s_R = max(u_L + a_L, u_R + a_R), each side with its own sound speed. The
-    star flux satisfies F* = sigma U* + p* [0, 1, sigma], so the fan feeds
-    lagrangian_flux directly. Consistency: hllc(V, V) returns the exact flux.
+    s_R = max(u_L + a_L, u_R + a_R), each side with its own sound speed. Both
+    star fluxes are built as F*_K = sigma U*_K + p* [0, 1, sigma], the
+    Lagrangian term built once and returned on the fan. Consistency:
+    hllc(V, V) returns the exact flux.
     """
     rl, ul, pl, al = left.rho, left.u, left.p, left.a
     rr, ur, pr, ar = right.rho, right.u, right.p, right.a
@@ -81,12 +82,14 @@ def hllc(left: ThermoState, right: ThermoState) -> RiemannFan:
     if not ((s_l <= sigma) & (sigma <= s_r)).all():
         raise SolverError("HLLC contact speed left the wave fan")
 
+    lagrangian = np.array([np.zeros_like(p_star), p_star, p_star * sigma])
+
     def star_flux(side, s, q):
-        # F*_K = F_K + s_K (U*_K - U_K); every term has sigma's shape
+        # F*_K = sigma U*_K + p* [0, 1, sigma]; every term has sigma's shape
         fac = q / (s - sigma)
         U_star = np.array([fac, fac * sigma,
                            fac * (side.E + (sigma - side.u) * (sigma + side.p / q))])
-        return side.F + s * (U_star - side.U)
+        return sigma * U_star + lagrangian
 
     # sample at x/t = 0; the contact at exactly 0 takes the left star state.
     # Both star fluxes are built: gathering one side's operands under the
@@ -94,25 +97,8 @@ def hllc(left: ThermoState, right: ThermoState) -> RiemannFan:
     flux0 = np.where(s_l >= 0.0, left.F,
                      np.where(sigma >= 0.0, star_flux(left, s_l, q_l),
                               np.where(s_r >= 0.0, star_flux(right, s_r, q_r), right.F)))
-    return RiemannFan(
-        flux0=flux0,
-        sigma=sigma,
-        p_star=p_star,
-        s_left=s_l,
-        s_right=s_r,
-    )
-
-
-def lagrangian_flux(fan: RiemannFan):
-    """Star-region value of F - sigma U: exactly p* [0, 1, sigma], with zero
-    mass component. Side-independent because both star states share p* and
-    sigma, shape (3, ...)."""
-    p_star = np.asarray(fan.p_star, dtype=float)
-    return np.array(np.broadcast_arrays(
-        np.zeros_like(p_star),
-        p_star,
-        p_star * fan.sigma,
-    ))
+    return RiemannFan(flux0=flux0, sigma=sigma, p_star=p_star, s_left=s_l, s_right=s_r,
+                      lagrangian=lagrangian)
 
 
 @dataclass(frozen=True)
@@ -270,13 +256,15 @@ def exact_rp(left: Primitive, right: Primitive, eos_left: EosParams,
 
     Newton iteration on the monotone pressure function (shock and rarefaction
     branches per side), started from a two-rarefaction estimate and safeguarded
-    by bisection on a bracketing interval. An inadmissible side raises
-    InvalidStateError naming the side; vacuum formation (no root with both
-    shifted pressures positive) raises SolverError.
+    by bisection on a bracketing interval. An inadmissible side or a
+    non-finite velocity raises InvalidStateError naming the side; vacuum
+    formation (no root with both shifted pressures positive) raises SolverError.
     """
     for side, v, eos in (("left", left, eos_left), ("right", right, eos_right)):
         with _prefixed(f"{side} state"):
             _check_admissible(v.rho, v.p, eos)
+            _require(np.isfinite(v.u), InvalidStateError, "u",
+                     f"non-finite velocity, got {v.u}")
     sl = _Side(left, eos_left)
     # the right side mirrored: the right wave of (rho_R, u_R, p_R) is the left
     # wave of (rho_R, -u_R, p_R) under xi -> -xi; f and df do not read u

@@ -16,9 +16,9 @@ import numpy as np
 from .eos import sound_speed
 from .errors import DemflowError, SolverError
 from .probability import ProbabilityQuad, convex_quad
-from .regime import RegimeField, StochasticRegime, UniformRandomRegime, init_field, stochastic_update
+from .regime import RegimeField, init_field, stochastic_update
 from .relaxation import relax_continuous, relax_projection
-from .riemann import RiemannFan, ThermoState, hllc, lagrangian_flux, thermo_state
+from .riemann import RiemannFan, ThermoState, hllc, thermo_state
 from .state import (Conserved, MixtureCell, PhaseCellState, Primitive, cell_rows,
                     phase_primitives, prim_to_cons, validate_mixture)
 
@@ -170,10 +170,9 @@ def _lagrangian_cell_sums(ifs, weight_12, weight_21):
 
 def boundary_lagrangian(ifs: InterfaceFluxSet):
     """Cross-phase Lagrangian flux sums per cell and phase, shape (3, n) given
-    n + 1 interfaces."""
-    return _lagrangian_cell_sums(ifs,
-                                 lagrangian_flux(ifs.fan_12),
-                                 lagrangian_flux(ifs.fan_21))
+    n + 1 interfaces, from the cross fans' p* [0, 1, sigma] (their
+    `lagrangian` field)."""
+    return _lagrangian_cell_sums(ifs, ifs.fan_12.lagrangian, ifs.fan_21.lagrangian)
 
 
 def volume_fraction_rhs(ifs: InterfaceFluxSet):
@@ -274,8 +273,6 @@ def run(config) -> list:
     validate_mixture(grid.cells, eos1, eos2, context="initial condition")
     field = init_field(config.regime_policy, grid)
     relaxer = _RELAXERS[config.relaxation]
-    random_policy = isinstance(config.regime_policy,
-                               (StochasticRegime, UniformRandomRegime))
 
     targets = sorted(set(float(s) for s in config.snapshot_times) | {float(config.t_end)})
     snapshots = []
@@ -291,7 +288,7 @@ def run(config) -> list:
                 hit = t + dt >= target
                 if hit:
                     dt = target - t
-                if random_policy:
+                if field.rng is not None:
                     field = stochastic_update(field)
                 grid = hyperbolic_step(grid, field, dt, eos1, eos2)
                 if relaxer is not None:

@@ -79,13 +79,15 @@ def test_config_rejects_non_finite_numbers_naming_the_override(preset, override)
 
 # each value type checks its own fields; the config names the key a failing
 # rule reads (gamma1=0.5 once named nothing, and the three piecewise values
-# passed the config and failed in init_field, naming nothing)
+# passed the config and failed in init_field, naming nothing; a breakpoint
+# outside the domain was caught only in init_field, naming nothing)
 @pytest.mark.parametrize("preset, override", [
     ("t1_uniform_vf", "gamma1=0.5"),
     ("t1_uniform_vf", "pi_inf2=-1"),
     ("t5_piecewise_r", "regime_values=0.1,0.2,1.5,0.3"),
     ("t5_piecewise_r", "regime_breakpoints=0.5,0.2,0.7"),
     ("t5_piecewise_r", "regime_values=0.1,0.2"),
+    ("t5_piecewise_r", "regime_breakpoints=-0.52,0.395,3"),
 ])
 def test_value_type_errors_name_the_override(preset, override):
     with pytest.raises(ConfigError, match=f"^override {re.escape(override)}: "):
@@ -374,6 +376,25 @@ def test_cli_riemann_query(capsys):
     assert "p_star = 0.30313" in out
     assert "left wave: rarefaction" in out
     assert "right wave: shock" in out
+    # a list starting with '-' is written with '=', or argparse reads an option
+    assert main(["riemann", "1,0,1", "0.125,0,0.1", "--sample=-1,0,1"]) == 0
+    rows = capsys.readouterr().out.split("xi,rho,u,p\n")[1].splitlines()
+    assert [row.split(",")[0] for row in rows] == ["-1", "0", "1"]
+
+
+# each ran at one time: inf gamma, pi_inf or velocity failed to bracket the
+# exact solver's root (inf pi_inf with a RuntimeWarning), a nan sample printed
+# a row for xi = nan
+@pytest.mark.parametrize("args, error", [
+    (["50,inf,1e5", "1000,0,1e5"], "left state: non-finite velocity, got inf"),
+    (["50,0,1e5", "1000,-inf,1e5"], "right state: non-finite velocity, got -inf"),
+    (["1,0,1", "0.125,0,0.1", "--gamma-left=inf"], "gamma must be finite and exceed 1, got inf"),
+    (["1,0,1", "0.125,0,0.1", "--pi-left=inf"], "pi_inf must be finite and non-negative, got inf"),
+    (["1,0,1", "0.125,0,0.1", "--sample=nan,0"], "--sample must be finite, got 'nan'"),
+], ids=["velocity_left", "velocity_right", "gamma", "pi_inf", "sample"])
+def test_cli_riemann_rejects_non_finite_numbers(args, error, capsys):
+    assert main(["riemann", *args]) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
 def test_cli_riemann_rejects_inadmissible_side(capsys):

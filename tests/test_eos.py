@@ -98,3 +98,13 @@ def test_eos_params_validation():
         EosParams(gamma=1.0)
     with pytest.raises(InvalidStateError):
         EosParams(gamma=1.4, pi_inf=-1.0)
+
+
+@pytest.mark.parametrize("gamma, pi_inf, field", [
+    (np.inf, 0.0, "gamma"), (1.4, np.inf, "pi_inf"), (np.nan, 0.0, "gamma"),
+])
+def test_eos_params_reject_non_finite_values(gamma, pi_inf, field):
+    # inf passed both rules at one time
+    with pytest.raises(InvalidStateError, match=f"^{field} must be finite") as info:
+        EosParams(gamma, pi_inf)
+    assert info.value.field == field

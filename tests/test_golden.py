@@ -17,14 +17,14 @@ from demflow.cli import main
 
 GOLDEN_NUMPY = "2.4.6"
 GOLDEN_SHA256 = {
-    "t1_uniform_vf": "bf3d74cb4d5b6d49edcb07fac8b63fa31f84e6ef99d11e185eb725fe3978bc37",
-    "t2_uniform_vf_relaxed": "6c0cbcea6d3dce1a0da2fa66b8f12165a02475c40811f45d1ab36102cfd15903",
-    "t3_pure_phases": "e081cb786f385cdc4d9aa69412e2ecc8464cb0335ba8ca4789dca87e39bafbf0",
-    "t4_cavitation": "0f762eb7b76acff4a18026d93fc2d9f1c35ea674a0978158e2de94bb66117f39",
-    "t5_piecewise_r": "3651ed7cb424d920910587859e1af201f3f31bf1dabac2283cef039be7563e4e",
-    "t6_dense_dilute": "5355d36f219bad19bc8e31b4b44258d9fec24ed07ccbb97d4e5000836e701fd7",
+    "t1_uniform_vf": "1abc95a757515c3be8720a809641c9d59f1838eb038c203bcdc72947b3ce5015",
+    "t2_uniform_vf_relaxed": "02d9ad9a6745710b2617361cfb18684224ae8bce8792a5a84ba3abdb3d740512",
+    "t3_pure_phases": "d95646c127206ac68e370f6d86c906c6b63e44925ca94a9df80231b40dd01da8",
+    "t4_cavitation": "53337693b6b10c023f3efcaa7e082c13ec2709b3200d748ca2d6ad4b1d1c5602",
+    "t5_piecewise_r": "7f2bc3fe9fa46e94167514f6563d69e9c333dec10a08125393ef80256d860a14",
+    "t6_dense_dilute": "d1718780432338699fd8dcc181c4f0de9c957fba2a25657307a910cd252bedee",
     "t6_dense_dilute+relaxation=projection":
-        "8ee417ae22e01e6d8a2aa3f8226fcca427fa6723ba3c04569ee3880b8f399cb2",
+        "a002007c0f7144a5d7a664f462a87e3df7ddc0be478e31b562499f0cfa16598d",
 }
 
 
