@@ -50,11 +50,11 @@ def convex_quad(alpha_left, alpha_right, r) -> ProbabilityQuad:
     al, ar = np.asarray(alpha_left), np.asarray(alpha_right)
     s_kk, s_kl = np.minimum(al, ar), np.maximum(al - ar, 0.0)
     d_kk, d_kl = np.maximum(al - (1.0 - ar), 0.0), np.minimum(al, 1.0 - ar)
-    s_lk = ar - s_kk
-    d_lk = ar - d_kk
+    s_lk, d_lk = ar - s_kk, ar - d_kk
     strat = (s_kk, s_kl, s_lk, 1.0 - al - s_lk)
     disp = (d_kk, d_kl, d_lk, 1.0 - al - d_lk)
-    p_kk, p_kl, p_lk, p_ll = (r * d + (1.0 - r) * s for s, d in zip(strat, disp))
+    rest = 1.0 - r
+    p_kk, p_kl, p_lk, p_ll = (r * d + rest * s for s, d in zip(strat, disp))
     return ProbabilityQuad(p_kk=p_kk, p_kl=p_kl, p_lk=p_lk, p_ll=p_ll, r=r)
 
 

@@ -1,13 +1,13 @@
 """Riemann solvers between arbitrary phase pairings.
 
 thermo_state evaluates the equation of state once into a side record
-(rho, u, p, a, E, F). hllc, the workhorse flux (Davis wave speed estimates),
-reads two such records, so each side may carry its own stiffened-gas
-parameters while the solver calls no EOS function; its fan carries the
-moving-interface (Lagrangian) flux p* [0, 1, sigma]. exact_rp is the
-iterative exact solver used as an oracle, and interfacial_decomposition gives
-the closed-form acoustic contact speed / pressure split into symmetric and
-antisymmetric parts.
+(rho, u, p, a, E), whose physical flux F is computed when read. hllc, the
+workhorse flux (Davis wave speed estimates), reads two such records, so each
+side may carry its own stiffened-gas parameters while the solver calls no EOS
+function; its fan gives the moving-interface (Lagrangian) flux
+p* [0, 1, sigma] on demand. exact_rp is the iterative exact solver used as an
+oracle, and interfacial_decomposition gives the closed-form acoustic contact
+speed / pressure split into symmetric and antisymmetric parts.
 """
 
 from dataclasses import dataclass
@@ -21,39 +21,44 @@ from .state import Primitive
 
 
 class ThermoState(NamedTuple):
-    """Everything a Riemann solve reads from one side: primitives, sound speed,
-    specific total energy E and physical flux
-    F = [rho u, rho u^2 + p, u (rho E + p)], stacked as (3, ...)."""
+    """Everything a Riemann solve reads from one side: primitives, sound speed
+    and specific total energy E; the physical flux F is computed when read."""
 
     rho: np.ndarray
     u: np.ndarray
     p: np.ndarray
     a: np.ndarray
     E: np.ndarray
-    F: np.ndarray
+
+    @property
+    def F(self) -> np.ndarray:
+        """Physical flux [rho u, rho u^2 + p, u (rho E + p)], stacked as (3, ...)."""
+        rho, u, p = self.rho, self.u, self.p
+        return np.array(np.broadcast_arrays(rho * u, rho * u**2 + p, u * (rho * self.E + p)))
 
 
 def thermo_state(v: Primitive, eos: EosParams) -> ThermoState:
-    """Evaluate the equation of state once for an admissible primitive state."""
+    """Evaluate the EOS once for an admissible primitive state (F: see ThermoState)."""
     rho, u, p = (np.asarray(x, dtype=float) for x in (v.rho, v.u, v.p))
     E = internal_energy(rho, p, eos) + 0.5 * u**2
-    F = np.array(np.broadcast_arrays(rho * u, rho * u**2 + p, u * (rho * E + p)))
-    return ThermoState(rho, u, p, sound_speed(rho, p, eos), E, F)
+    return ThermoState(rho, u, p, sound_speed(rho, p, eos), E)
 
 
 @dataclass(frozen=True)
 class RiemannFan:
     """Solved Riemann fan: flux sampled at x/t = 0, contact speed sigma, star
-    pressure, outer wave speed estimates, and the star-region Lagrangian flux
-    F* - sigma U* = p* [0, 1, sigma], shape (3, ...), the same on both sides
-    of the contact."""
+    pressure and outer wave speed estimates; `lagrangian` is computed when read."""
 
     flux0: np.ndarray
     sigma: float | np.ndarray
     p_star: float | np.ndarray
     s_left: float | np.ndarray
     s_right: float | np.ndarray
-    lagrangian: np.ndarray
+
+    @property
+    def lagrangian(self) -> np.ndarray:
+        """Star-region F* - sigma U* = p* [0, 1, sigma], the same on both sides."""
+        return np.array([np.zeros_like(self.p_star), self.p_star, self.p_star * self.sigma])
 
 
 def hllc(left: ThermoState, right: ThermoState) -> RiemannFan:
@@ -61,10 +66,10 @@ def hllc(left: ThermoState, right: ThermoState) -> RiemannFan:
     EOS (see thermo_state); the solver itself calls no EOS function.
 
     Wave speed estimates are Davis-type: s_L = min(u_L - a_L, u_R - a_R) and
-    s_R = max(u_L + a_L, u_R + a_R), each side with its own sound speed. Both
-    star fluxes are built as F*_K = sigma U*_K + p* [0, 1, sigma], the
-    Lagrangian term built once and returned on the fan. Consistency:
-    hllc(V, V) returns the exact flux.
+    s_R = max(u_L + a_L, u_R + a_R), each side with its own sound speed. One
+    star flux sigma U* + p* [0, 1, sigma] is built from the sampled star state;
+    the physical fluxes F_K only if a fan of the call is supersonic (s_L >= 0
+    or s_R < 0). Consistency: hllc(V, V) returns the exact flux.
     """
     rl, ul, pl, al = left.rho, left.u, left.p, left.a
     rr, ur, pr, ar = right.rho, right.u, right.p, right.a
@@ -82,23 +87,19 @@ def hllc(left: ThermoState, right: ThermoState) -> RiemannFan:
     if not ((s_l <= sigma) & (sigma <= s_r)).all():
         raise SolverError("HLLC contact speed left the wave fan")
 
-    lagrangian = np.array([np.zeros_like(p_star), p_star, p_star * sigma])
-
-    def star_flux(side, s, q):
-        # F*_K = sigma U*_K + p* [0, 1, sigma]; every term has sigma's shape
-        fac = q / (s - sigma)
-        U_star = np.array([fac, fac * sigma,
-                           fac * (side.E + (sigma - side.u) * (sigma + side.p / q))])
-        return sigma * U_star + lagrangian
-
-    # sample at x/t = 0; the contact at exactly 0 takes the left star state.
-    # Both star fluxes are built: gathering one side's operands under the
-    # contact-side mask costs more where the sign of sigma alternates.
-    flux0 = np.where(s_l >= 0.0, left.F,
-                     np.where(sigma >= 0.0, star_flux(left, s_l, q_l),
-                              np.where(s_r >= 0.0, star_flux(right, s_r, q_r), right.F)))
-    return RiemannFan(flux0=flux0, sigma=sigma, p_star=p_star, s_left=s_l, s_right=s_r,
-                      lagrangian=lagrangian)
+    # star densities rho*_K and energies (rho E)*_K, sampled at x/t = 0 (the
+    # contact at exactly 0 takes the left side); this operand order and the
+    # + 0.0 give sigma U* + [0, p*, p* sigma] bit for bit, signed zeros included
+    rho_l, rho_r = q_l / (s_l - sigma), q_r / (s_r - sigma)
+    rho_s = np.where(sigma >= 0.0, rho_l, rho_r)
+    rhoe_s = np.where(sigma >= 0.0, rho_l * (left.E + (sigma - ul) * (sigma + pl / q_l)),
+                      rho_r * (right.E + (sigma - ur) * (sigma + pr / q_r)))
+    flux0 = np.array([sigma * rho_s + 0.0, sigma * (rho_s * sigma) + p_star,
+                      sigma * rhoe_s + p_star * sigma])
+    # with s_L <= sigma <= s_R, the four branches: F_L, star left, star right, F_R
+    if ((s_l >= 0.0) | (s_r < 0.0)).any():
+        flux0 = np.where(s_l >= 0.0, left.F, np.where(s_r < 0.0, right.F, flux0))
+    return RiemannFan(flux0=flux0, sigma=sigma, p_star=p_star, s_left=s_l, s_right=s_r)
 
 
 @dataclass(frozen=True)

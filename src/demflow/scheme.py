@@ -115,8 +115,8 @@ def _interface_block(cells, r, eos1, eos2) -> InterfaceFluxSet:
 
     def side_records(v, eos):
         rec = thermo_state(v, eos)
-        return (ThermoState(*(x[..., :-1] for x in rec)),
-                ThermoState(*(x[..., 1:] for x in rec)))
+        return (ThermoState(*(x[:-1] for x in rec)),
+                ThermoState(*(x[1:] for x in rec)))
 
     t1_left, t1_right = side_records(Primitive(rho1, u1, p1), eos1)
     t2_left, t2_right = side_records(Primitive(rho2, u2, p2), eos2)
@@ -155,33 +155,31 @@ def ensemble_flux(ifs: InterfaceFluxSet):
 
 
 def _lagrangian_cell_sums(ifs, weight_12, weight_21):
-    """Assemble the four-term signed Lagrangian sum per cell from per-interface
+    """Phase 1's four-term signed Lagrangian sum per cell from per-interface
     weights: inflow terms from the left interface (where a switch is on) plus
     inflow terms from the right interface (where it is off). Phase 2's sum
-    is the exact negative of phase 1's."""
+    is its exact negative."""
     q, on12, on21 = ifs.quad, ifs.on_12, ifs.on_21
-    term21 = q.p_lk * weight_21
-    term12 = q.p_kl * weight_12
+    term21, term12 = q.p_lk * weight_21, q.p_kl * weight_12
     plus = on21 * term21 - on12 * term12
     minus = (1.0 - on21) * term21 - (1.0 - on12) * term12
-    phase1 = plus[..., :-1] + minus[..., 1:]
-    return phase1, -phase1
+    return plus[..., :-1] + minus[..., 1:]
 
 
 def boundary_lagrangian(ifs: InterfaceFluxSet):
     """Cross-phase Lagrangian flux sums per cell and phase, shape (3, n) given
-    n + 1 interfaces, from the cross fans' p* [0, 1, sigma] (their
-    `lagrangian` field)."""
-    return _lagrangian_cell_sums(ifs, ifs.fan_12.lagrangian, ifs.fan_21.lagrangian)
+    n + 1 interfaces, from the cross fans' p* [0, 1, sigma], as (s, -s); the
+    step adds lam * s for phase 1 and subtracts it for phase 2."""
+    s = _lagrangian_cell_sums(ifs, ifs.fan_12.lagrangian, ifs.fan_21.lagrangian)
+    return s, -s
 
 
 def volume_fraction_rhs(ifs: InterfaceFluxSet):
     """Discrete right-hand side of the volume-fraction transport per cell and
-    phase (flux -> 0, state -> 1 turns the Lagrangian flux into -sigma). The
-    two phases sum to zero, preserving saturation exactly."""
-    return _lagrangian_cell_sums(ifs,
-                                 -np.asarray(ifs.fan_12.sigma),
-                                 -np.asarray(ifs.fan_21.sigma))
+    phase (flux -> 0, state -> 1 turns the Lagrangian flux into -sigma), as
+    (s, -s): the phases sum to zero, preserving saturation exactly."""
+    s = _lagrangian_cell_sums(ifs, -ifs.fan_12.sigma, -ifs.fan_21.sigma)
+    return s, -s
 
 
 def cfl_dt(grid: Grid1D, cfl, eos1, eos2) -> float:
@@ -216,18 +214,19 @@ def hyperbolic_step(grid: Grid1D, regime: RegimeField, dt, eos1, eos2) -> Grid1D
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         ifs = _interface_block(cells[:, lo:hi + 2], regime.values[lo:hi + 1], eos1, eos2)
         e1, e2 = ensemble_flux(ifs)
-        l1, l2 = boundary_lagrangian(ifs)
-        w1, w2 = volume_fraction_rhs(ifs)
+        lag = lam * _lagrangian_cell_sums(ifs, ifs.fan_12.lagrangian, ifs.fan_21.lagrangian)
+        vrhs = lam * _lagrangian_cell_sums(ifs, -ifs.fan_12.sigma, -ifs.fan_21.sigma)
         if lo == 0:
             # made after the first block's temporaries, so that their freed
             # space is not trimmed off the heap top and faulted back each step
             new = np.empty_like(grid.state)
-        # rows alpha_k, U_k of phase k start at row 0 (phase 1) and 4 (phase 2)
-        for row, e, lag, vrhs in ((0, e1, l1, w1), (4, e2, l2, w2)):
+        # rows alpha_k, U_k of phase k start at row 0 (phase 1) and 4 (phase 2);
+        # phase 2's sums are phase 1's negated, and x + (-y) is x - y bit for bit
+        for row, e, sign in ((0, e1, np.add), (4, e2, np.subtract)):
             alpha = grid.state[row, lo:hi]
             u_old = grid.state[row + 1:row + 4, lo:hi]
-            alpha_u = alpha * u_old - lam * (e[:, 1:] - e[:, :-1]) + lam * lag
-            alpha_new = np.add(alpha, lam * vrhs, out=new[row, lo:hi])
+            alpha_u = sign(alpha * u_old - lam * (e[:, 1:] - e[:, :-1]), lag)
+            alpha_new = sign(alpha, vrhs, out=new[row, lo:hi])
             present = alpha_new > 0.0
             u_new = np.divide(alpha_u, np.where(present, alpha_new, 1.0),
                               out=new[row + 1:row + 4, lo:hi])

@@ -199,6 +199,14 @@ def test_hllc_flux0_matches_four_branch_sampler_bitwise():
         star = (fan.s_left < 0.0) & (fan.s_right >= 0.0)
         assert np.any(star & (fan.sigma > 0.0)) and np.any(star & (fan.sigma < 0.0))
         assert fan.flux0.tobytes() == four_branch_flux0(tl, tr).tobytes()
+        # an all-subsonic batch, zero contact speeds included, builds no
+        # physical flux and must give the same bits
+        sub = thermo_state(Primitive(left.rho[star], left.u[star], left.p[star]), eos_l), \
+            thermo_state(Primitive(right.rho[star], right.u[star], right.p[star]), eos_r)
+        fan = hllc(*sub)
+        assert np.all(fan.s_left < 0.0) and np.all(fan.s_right >= 0.0)
+        assert np.any(fan.sigma == 0.0) == (eos_l is eos_r)
+        assert fan.flux0.tobytes() == four_branch_flux0(*sub).tobytes()
 
 
 # ------------------------------------------------------ lagrangian flux

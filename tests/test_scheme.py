@@ -46,6 +46,37 @@ def random_grid(n, seed=0):
     return make_grid(a1, v1, v2)
 
 
+def supersonic_grid(n, seed=0):
+    """random_grid with the gas streaming supersonically through its first
+    and last quarters (|u1| > a1 there), to the right and to the left, so
+    that some phase-1 fans see x/t = 0 outside the star region."""
+    rng = np.random.default_rng(seed)
+    state = random_grid(n, seed=seed).state.copy()
+    q = n // 4
+    # gas at rho in [50, 100], p in [2e5, 3e5]: sound speed below 90 m/s
+    rho = rng.uniform(50.0, 100.0, n)
+    u = np.concatenate([rng.uniform(300.0, 400.0, q), np.zeros(n - 2 * q),
+                        rng.uniform(-400.0, -300.0, q)])
+    cons = prim_to_cons(Primitive(rho, u, rng.uniform(2e5, 3e5, n)), GAS)
+    for row, x in zip((1, 2, 3), (cons.mass, cons.momentum, cons.energy)):
+        state[row, :q], state[row, -q:] = x[:q], x[-q:]
+    return Grid1D(-1.0, 1.0, state)
+
+
+def count_supersonic_calls(monkeypatch):
+    """Wrap scheme.hllc; the returned list gets, per call, whether any of its
+    interfaces had x/t = 0 outside the star region (s_L >= 0 or s_R < 0)."""
+    seen = []
+
+    def watched(left, right, solve=scheme.hllc):
+        fan = solve(left, right)
+        seen.append(bool(np.any((fan.s_left >= 0.0) | (fan.s_right < 0.0))))
+        return fan
+
+    monkeypatch.setattr(scheme, "hllc", watched)
+    return seen
+
+
 def constant_field(grid, r):
     return init_field(ConstantRegime(r), grid)
 
@@ -231,19 +262,21 @@ def test_uniform_alpha_r0_decouples_the_phases():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_step_matches_scalar_reference(seed):
-    rng = np.random.default_rng(100 + seed)
-    grid = random_grid(8, seed=seed)
-    r_values = rng.uniform(0.0, 1.0, grid.n_cells + 1)
-    field = init_field(ConstantRegime(0.0), grid)
-    field = type(field)(values=r_values, policy=field.policy, rng=None)
-    dt = 0.8 * cfl_dt(grid, 0.9, GAS, LIQUID)
-    out = hyperbolic_step(grid, field, dt, GAS, LIQUID)
-    ref = reference_step(grid, r_values, dt)
-    for k, phase in ((1, out.cells.phase1), (2, out.cells.phase2)):
-        alpha_ref, U_ref = ref[k]
-        assert np.max(np.abs(np.asarray(phase.alpha) - alpha_ref)) < 1e-13
-        got = out.state[4 * k - 3:4 * k]
-        assert np.max(np.abs(got - U_ref) / (np.abs(U_ref) + 1.0)) < 1e-12
+    # supersonic_grid's scalar fans sample the physical flux at some interfaces
+    for make in (random_grid, supersonic_grid):
+        rng = np.random.default_rng(100 + seed)
+        grid = make(8, seed=seed)
+        r_values = rng.uniform(0.0, 1.0, grid.n_cells + 1)
+        field = init_field(ConstantRegime(0.0), grid)
+        field = type(field)(values=r_values, policy=field.policy, rng=None)
+        dt = 0.8 * cfl_dt(grid, 0.9, GAS, LIQUID)
+        out = hyperbolic_step(grid, field, dt, GAS, LIQUID)
+        ref = reference_step(grid, r_values, dt)
+        for k, phase in ((1, out.cells.phase1), (2, out.cells.phase2)):
+            alpha_ref, U_ref = ref[k]
+            assert np.max(np.abs(np.asarray(phase.alpha) - alpha_ref)) < 1e-13
+            got = out.state[4 * k - 3:4 * k]
+            assert np.max(np.abs(got - U_ref) / (np.abs(U_ref) + 1.0)) < 1e-12
 
 
 # ------------------------------------------------------------ invariants
@@ -359,6 +392,18 @@ def test_blocked_step_matches_one_block_bitwise(monkeypatch):
         for block in (1, 7, n - 1, 2 * n):
             monkeypatch.setattr(scheme, "_BLOCK_CELLS", block)
             assert_same_bits(hyperbolic_step(grid, field, dt, GAS, LIQUID), whole)
+    # supersonic blocks sample the physical flux, subsonic ones do not
+    grid = supersonic_grid(n, seed=7)
+    field = constant_field(grid, 0.4)
+    dt = 0.9 * cfl_dt(grid, 0.9, GAS, LIQUID)
+    seen = count_supersonic_calls(monkeypatch)
+    monkeypatch.setattr(scheme, "_BLOCK_CELLS", n)
+    whole = hyperbolic_step(grid, field, dt, GAS, LIQUID)
+    assert any(seen)
+    monkeypatch.setattr(scheme, "_BLOCK_CELLS", 7)
+    seen.clear()
+    assert_same_bits(hyperbolic_step(grid, field, dt, GAS, LIQUID), whole)
+    assert any(seen) and not all(seen)
     cfg = preset_config("t4_cavitation", ["n_cells=40"])
     assert cfg.relaxation == "continuous"
     monkeypatch.setattr(scheme, "_BLOCK_CELLS", 40)
