@@ -147,7 +147,20 @@ def relax_projection(cell: MixtureCell, eos1: EosParams, eos2: EosParams) -> Mix
         alpha2=a2 - a1 * a2 * dp / d,
         rho2=rho2 + a1 * rho2 * dp / d,
     )
-    return maxwellian(red, eos1, eos2)
+    try:
+        return maxwellian(red, eos1, eos2)
+    except InvalidStateError as exc:
+        # the linearized densities rho1 (1 - a2 dp / d) and rho2 (1 + a1 dp / d)
+        # stay positive only while a2 (p1 - p2) / d < 1 and a1 (p2 - p1) / d < 1
+        for x, bound in ((a2 * dp / d, "a2 (p1 - p2) / d"), (a1 * -dp / d, "a1 (p2 - p1) / d")):
+            bad = ~(x < 1.0)
+            if np.any(bad):
+                i = _first_bad_index(bad)
+                raise InvalidStateError(
+                    f"projection relaxation outside its validity bound{_at_cell(bad)}: "
+                    f"p1 - p2 = {dp.flat[i]:.9g} Pa, {bound} = {x.flat[i]:.9g} >= 1 "
+                    f"({exc})") from None
+        raise InvalidStateError(f"projection relaxation: {exc}") from None
 
 
 def projection_matrix(cell: MixtureCell, eos1: EosParams, eos2: EosParams) -> np.ndarray:

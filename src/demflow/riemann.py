@@ -4,7 +4,9 @@ thermo_state evaluates the equation of state once into a side record
 (rho, u, p, a, E), whose physical flux F is computed when read. hllc, the
 workhorse flux (Davis wave speed estimates), reads two such records, so each
 side may carry its own stiffened-gas parameters while the solver calls no EOS
-function; its fan gives the moving-interface (Lagrangian) flux
+function. The records broadcast, so one call on both phases' rows, left
+(2, 1, m) and right (1, 2, m), solves all four phase pairings of m
+interfaces. Its fan gives the moving-interface (Lagrangian) flux
 p* [0, 1, sigma] on demand. exact_rp is the iterative exact solver used as an
 oracle, and interfacial_decomposition gives the closed-form acoustic contact
 speed / pressure split into symmetric and antisymmetric parts.
@@ -61,15 +63,48 @@ class RiemannFan:
         return np.array([np.zeros_like(self.p_star), self.p_star, self.p_star * self.sigma])
 
 
-def hllc(left: ThermoState, right: ThermoState) -> RiemannFan:
+def _gather(x, at):
+    """x's values at the index `at` (one int or array per axis) of the shape
+    x broadcasts to: its axes align from the last, and an axis of length 1
+    is read at 0."""
+    x = np.asarray(x)
+    return x[tuple(i if n > 1 else 0 for i, n in zip(at[len(at) - x.ndim:], x.shape))]
+
+
+def _failure_site(bad, left, right, first):
+    """' at interface i, pairing kl: left (rho, u, p) = (...), right (...)'
+    for the lowest interface (the last axis, counted from `first`) where
+    `bad` holds; only a (2, 2, m) call names pairings, a 0-d call no interface."""
+    where, at = "", ()
+    if np.ndim(bad):
+        i, *pair = np.argwhere(np.moveaxis(bad, -1, 0))[0]
+        at = (*pair, i)
+        where = f" at interface {first + i}"
+        if np.shape(bad)[:-1] == (2, 2):
+            where += f", pairing {pair[0] + 1}{pair[1] + 1}"
+    sides = (f"{name} (rho, u, p) = (" + ", ".join(f"{_gather(x, at):.9g}" for x in v[:3]) + ")"
+             for name, v in (("left", left), ("right", right)))
+    return f"{where}: " + ", ".join(sides)
+
+
+def hllc(left: ThermoState, right: ThermoState, weight=None, first=0) -> RiemannFan:
     """HLLC solver between two side records, each from its own stiffened-gas
-    EOS (see thermo_state); the solver itself calls no EOS function.
+    EOS (see thermo_state); the solver itself calls no EOS function. The
+    records broadcast: left (2, 1, m) and right (1, 2, m) rows of both phases
+    solve all four phase pairings of m interfaces at once, pairing (k, l) at
+    index [k, l] of every leaf (flux0[:, k, l]).
 
     Wave speed estimates are Davis-type: s_L = min(u_L - a_L, u_R - a_R) and
     s_R = max(u_L + a_L, u_R + a_R), each side with its own sound speed. One
     star flux sigma U* + p* [0, 1, sigma] is built from the sampled star state;
-    the physical fluxes F_K only if a fan of the call is supersonic (s_L >= 0
-    or s_R < 0). Consistency: hllc(V, V) returns the exact flux.
+    the physical fluxes F_K only at supersonic interfaces (s_L >= 0 or
+    s_R < 0). Consistency: hllc(V, V) returns the exact flux.
+
+    A contact speed outside [s_L, s_R] raises SolverError, unless `weight`
+    (broadcasting against the fans, e.g. the probability of each pairing) is
+    0 there: such a fan counts in no flux, and its flux0, sigma and p_star
+    are 0. Errors name the first failing interface (numbered from `first`),
+    its pairing and both states.
     """
     rl, ul, pl, al = left.rho, left.u, left.p, left.a
     rr, ur, pr, ar = right.rho, right.u, right.p, right.a
@@ -77,28 +112,54 @@ def hllc(left: ThermoState, right: ThermoState) -> RiemannFan:
     s_l = np.minimum(ul - al, ur - ar)
     s_r = np.maximum(ul + al, ur + ar)
     if not (s_l < s_r).all():
-        raise SolverError("HLLC wave speed estimates crossed (vacuum-adjacent states)")
+        raise SolverError("HLLC wave speed estimates crossed (vacuum-adjacent states)"
+                          + _failure_site(~(s_l < s_r), left, right, first))
 
     # signed mass fluxes through the outer waves; q_l < 0 < q_r
     q_l = rl * (s_l - ul)
     q_r = rr * (s_r - ur)
     sigma = (pr - pl + ul * q_l - ur * q_r) / (q_l - q_r)
     p_star = pl + q_l * (sigma - ul)
-    if not ((s_l <= sigma) & (sigma <= s_r)).all():
-        raise SolverError("HLLC contact speed left the wave fan")
+    in_fan = (s_l <= sigma) & (sigma <= s_r)
+    outside = None if in_fan.all() else ~in_fan
+    if outside is not None:
+        weighted = outside if weight is None else outside & (weight != 0.0)
+        if weighted.any():
+            raise SolverError("HLLC contact speed left the wave fan"
+                              + _failure_site(weighted, left, right, first))
+        # np.where, not * 0: a non-finite value times 0 is NaN
+        sigma = np.where(outside, 0.0, sigma)
+        p_star = np.where(outside, 0.0, p_star)
 
-    # star densities rho*_K and energies (rho E)*_K, sampled at x/t = 0 (the
-    # contact at exactly 0 takes the left side); this operand order and the
+    # the star density rho* = q_K / (s_K - sigma) and energy (rho E)*_K of
+    # the side K sampled at x/t = 0 (the contact at exactly 0 takes the left
+    # side), from that side's values picked first; this operand order and the
     # + 0.0 give sigma U* + [0, p*, p* sigma] bit for bit, signed zeros included
-    rho_l, rho_r = q_l / (s_l - sigma), q_r / (s_r - sigma)
-    rho_s = np.where(sigma >= 0.0, rho_l, rho_r)
-    rhoe_s = np.where(sigma >= 0.0, rho_l * (left.E + (sigma - ul) * (sigma + pl / q_l)),
-                      rho_r * (right.E + (sigma - ur) * (sigma + pr / q_r)))
-    flux0 = np.array([sigma * rho_s + 0.0, sigma * (rho_s * sigma) + p_star,
-                      sigma * rhoe_s + p_star * sigma])
-    # with s_L <= sigma <= s_R, the four branches: F_L, star left, star right, F_R
-    if ((s_l >= 0.0) | (s_r < 0.0)).any():
-        flux0 = np.where(s_l >= 0.0, left.F, np.where(s_r < 0.0, right.F, flux0))
+    on_left = sigma >= 0.0
+    q_s, u_s = np.where(on_left, q_l, q_r), np.where(on_left, ul, ur)
+    # not read again: freeing them lowers the call's memory peak, on which
+    # glibc's heap-top trimming, and so the step's page faults, depend
+    del q_l, q_r
+    rho_s = q_s / (np.where(on_left, s_l, s_r) - sigma)
+    rhoe_s = rho_s * (np.where(on_left, left.E, right.E)
+                      + (sigma - u_s) * (sigma + np.where(on_left, pl, pr) / q_s))
+    # written row by row: no three temporaries copied into a (3, ...) array
+    flux0 = np.empty((3,) + np.shape(sigma))
+    np.add(sigma * rho_s, 0.0, out=flux0[0, ...])
+    np.add(sigma * (rho_s * sigma), p_star, out=flux0[1, ...])
+    np.add(sigma * rhoe_s, p_star * sigma, out=flux0[2, ...])
+    # with s_L <= sigma <= s_R, x/t = 0 lies left of the fan where s_L >= 0
+    # and right of it where s_R < 0: there the flux is that side's physical
+    # flux F, evaluated at those interfaces only
+    beyond = np.flatnonzero((s_l >= 0.0) | (s_r < 0.0))
+    if beyond.size:
+        at = np.unravel_index(beyond, np.shape(sigma) or (1,))
+        from_left = _gather(s_l, at) >= 0.0
+        side = ThermoState(*(np.where(from_left, _gather(x, at), _gather(y, at))
+                             for x, y in zip(left, right)))
+        flux0.reshape(3, -1)[:, beyond] = side.F.reshape(3, -1)
+    if outside is not None:
+        flux0 = np.where(outside, 0.0, flux0)
     return RiemannFan(flux0=flux0, sigma=sigma, p_star=p_star, s_left=s_l, s_right=s_r)
 
 

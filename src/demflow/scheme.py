@@ -6,16 +6,24 @@ volume fraction advances with the same machinery under the formal substitution
 flux -> 0, state -> 1 (so the Lagrangian flux reduces to -sigma). Time
 integration is forward Euler under a CFL bound, with optional per-cell
 relaxation after each step (operator splitting).
+
+The step stacks the two phases on one axis: per block of cells it evaluates
+the equation of state once on both phases' rows, solves all four pairings in
+one hllc call (leaves of shape (2, 2, m)), sums the cross fans' Lagrangian
+and volume-fraction terms in one pass, and updates both phases through the
+(2, 4, n) view of the grid's state. Blocks read views of the recovered
+primitives; only a block at an end of the grid copies its edge cell.
 """
 
 from dataclasses import astuple, dataclass, replace
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
 from .eos import sound_speed
 from .errors import DemflowError, SolverError
-from .probability import ProbabilityQuad, convex_quad
+from .probability import convex_quad
 from .regime import RegimeField, init_field, stochastic_update
 from .relaxation import relax_continuous, relax_projection
 from .riemann import RiemannFan, ThermoState, hllc, thermo_state
@@ -72,61 +80,71 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class InterfaceFluxSet:
-    """Everything one interface contributes: the four phase-pairing fans,
-    the probability quad (phase 1 as k), and the cross-pair switches: on_12
-    is 1.0 where fan_12's contact speed is >= 0 (its sampled Godunov state
-    belongs to phase 1), else 0.0; on_21 likewise for fan_21 (phase 2)."""
+    """Everything a run of m interfaces contributes: the fan of all four
+    phase pairings, leaves of shape (2, 2, m) with pairing (k, l) at [k, l]
+    (left phase k, right phase l, phase 1 first); `weight` (2, 2, m), the
+    probability of each pairing; and the cross-pair switches `on` (2, m):
+    on[0] is 1.0 where the 12 fan's contact speed is >= 0 (its sampled
+    Godunov state belongs to phase 1), else 0.0, and on[1] likewise for the
+    21 fan (phase 2)."""
 
-    fan_11: RiemannFan
-    fan_12: RiemannFan
-    fan_21: RiemannFan
-    fan_22: RiemannFan
-    quad: ProbabilityQuad
-    on_12: np.ndarray
-    on_21: np.ndarray
+    fan: RiemannFan
+    weight: np.ndarray
+    on: np.ndarray
 
 
-def _edge_copied(grid: Grid1D, regime: RegimeField, eos1, eos2):
-    """A step's cells, edge-copied: rows rho1, u1, p1, rho2, u2, p2, alpha1
-    over n + 2 cells, the two outer ones copies of their edge cell
-    (transmissive boundary), read from phase_primitives, the cells' one check.
-    Only the regime field's shape is checked here: convex_quad checks its
-    values in _interface_block."""
+def _cross(x):
+    """The 12 and 21 pairings of a (2, 2, m) leaf as one (2, m) view."""
+    return x.reshape(4, -1)[1:3]
+
+
+def _step_rows(grid: Grid1D, regime: RegimeField, eos1, eos2):
+    """Rows rho1, rho2, u1, u2, p1, p2, alpha1 of the grid's cells, read from
+    phase_primitives, the cells' one check. Only the regime field's shape is
+    checked here: convex_quad checks its values in _interface_block."""
     if np.shape(regime.values) != (grid.n_cells + 1,):
         raise SolverError("regime field does not match the grid's interfaces")
     v1, v2 = phase_primitives(grid.cells, eos1, eos2)
-    fields = (v1.rho, v1.u, v1.p, v2.rho, v2.u, v2.p, grid.cells.phase1.alpha)
-    cells = np.empty((len(fields), grid.n_cells + 2))
-    for row, x in zip(cells, fields):
-        row[1:-1] = x
-    cells[:, 0] = cells[:, 1]
-    cells[:, -1] = cells[:, -2]
-    return cells
+    return (v1.rho, v2.rho, v1.u, v2.u, v1.p, v2.p, grid.state[0])
 
 
-def _interface_block(cells, r, eos1, eos2) -> InterfaceFluxSet:
-    """Interface data between m consecutive edge-copied cells (columns of
-    _edge_copied's rows) at their m - 1 interfaces, r one value per interface.
+def _block_cells(rows, lo, hi):
+    """Cells lo - 1 .. hi of each row, either side of interfaces lo .. hi:
+    views inside the grid; a block at an end of the grid gets copies whose
+    cell outside it repeats the edge cell (transmissive boundary)."""
+    if 0 < lo and hi < len(rows[0]):
+        return [x[lo - 1:hi + 1] for x in rows]
+    cells = np.arange(lo - 1, hi + 1)
+    return [x.take(cells, mode="clip") for x in rows]
 
-    The equation of state is evaluated once per phase on the m cells; all four
-    pairings read left/right views of those two records."""
-    rho1, u1, p1, rho2, u2, p2, alpha1 = cells
-    quad = convex_quad(alpha1[:-1], alpha1[1:], r)
 
-    def side_records(v, eos):
-        rec = thermo_state(v, eos)
-        return (ThermoState(*(x[:-1] for x in rec)),
-                ThermoState(*(x[1:] for x in rec)))
+def _pairing_weights(alpha1, r):
+    """The probability of each phase pairing (k, l) at the m - 1 interfaces
+    between m cells with phase-1 fractions alpha1, shape (2, 2, m - 1). A
+    function of its own so that the quad's four arrays are freed before the
+    fans are solved (the step's memory peak)."""
+    q = convex_quad(alpha1[:-1], alpha1[1:], r)
+    return np.array([[q.p_kk, q.p_kl], [q.p_lk, q.p_ll]])
 
-    t1_left, t1_right = side_records(Primitive(rho1, u1, p1), eos1)
-    t2_left, t2_right = side_records(Primitive(rho2, u2, p2), eos2)
-    fan_11 = hllc(t1_left, t1_right)
-    fan_12 = hllc(t1_left, t2_right)
-    fan_21 = hllc(t2_left, t1_right)
-    fan_22 = hllc(t2_left, t2_right)
-    return InterfaceFluxSet(fan_11, fan_12, fan_21, fan_22, quad,
-                            (fan_12.sigma >= 0.0).astype(float),
-                            (fan_21.sigma >= 0.0).astype(float))
+
+def _interface_block(cells, r, eos1, eos2, first=0) -> InterfaceFluxSet:
+    """Interface data between m consecutive cells (_block_cells' rows) at
+    their m - 1 interfaces, r one value per interface, the first interface
+    numbered `first` in errors.
+
+    The equation of state is evaluated once, on both phases' rows with the
+    phases' parameters as (2, 1) columns (the EOS formulas only read gamma
+    and pi_inf, so they broadcast); one hllc call solves the four pairings
+    from left views (2, 1, m - 1) and right views (1, 2, m - 1)."""
+    rho1, rho2, u1, u2, p1, p2, alpha1 = cells
+    weight = _pairing_weights(alpha1, r)
+    eos = SimpleNamespace(gamma=np.array([[eos1.gamma], [eos2.gamma]]),
+                          pi_inf=np.array([[eos1.pi_inf], [eos2.pi_inf]]))
+    rec = thermo_state(Primitive(np.array((rho1, rho2)), np.array((u1, u2)),
+                                 np.array((p1, p2))), eos)
+    fan = hllc(ThermoState(*(x[:, None, :-1] for x in rec)),
+               ThermoState(*(x[None, :, 1:] for x in rec)), weight, first)
+    return InterfaceFluxSet(fan, weight, (_cross(fan.sigma) >= 0.0).astype(float))
 
 
 def interface_fluxes(grid: Grid1D, regime: RegimeField, eos1, eos2) -> InterfaceFluxSet:
@@ -136,22 +154,23 @@ def interface_fluxes(grid: Grid1D, regime: RegimeField, eos1, eos2) -> Interface
 
     Interface i sits between cells i - 1 and i; the two outer interfaces see
     a copy of their edge cell (transmissive boundary)."""
-    cells = _edge_copied(grid, regime, eos1, eos2)
-    return _interface_block(cells, regime.values, eos1, eos2)
+    rows = _step_rows(grid, regime, eos1, eos2)
+    return _interface_block(_block_cells(rows, 0, grid.n_cells), regime.values, eos1, eos2)
 
 
 def ensemble_flux(ifs: InterfaceFluxSet):
-    """Probability-weighted conservative flux per phase at each interface.
-    Cross-phase candidates only count when the sampled Godunov state belongs
-    to the receiving phase (the on_12 / on_21 switches)."""
-    q, on12, on21 = ifs.quad, ifs.on_12, ifs.on_21
-    e1 = (q.p_kk * ifs.fan_11.flux0
-          + on12 * q.p_kl * ifs.fan_12.flux0
-          + (1.0 - on21) * q.p_lk * ifs.fan_21.flux0)
-    e2 = (q.p_ll * ifs.fan_22.flux0
-          + on21 * q.p_lk * ifs.fan_21.flux0
-          + (1.0 - on12) * q.p_kl * ifs.fan_12.flux0)
-    return e1, e2
+    """Probability-weighted conservative flux per phase at each interface,
+    shape (2, 3, m), phase 1 first: phase k's is p_kk F_kk + on_kl p_kl F_kl
+    + (1 - on_lk) p_lk F_lk (l the other phase). Cross-phase candidates only
+    count when the sampled Godunov state belongs to the receiving phase (the
+    `on` switches)."""
+    # pairings 11, 12, 21, 22 on the first axis: [::3] is kk, [1:3] kl and
+    # [2:0:-1] lk, each in phase order
+    flux = ifs.fan.flux0.reshape(3, 4, -1).transpose(1, 0, 2)
+    w = ifs.weight.reshape(4, 1, -1)
+    on = ifs.on[:, None]
+    return (w[::3] * flux[::3] + on * w[1:3] * flux[1:3]
+            + (1.0 - on[::-1]) * w[2:0:-1] * flux[2:0:-1])
 
 
 def _lagrangian_cell_sums(ifs, weight_12, weight_21):
@@ -159,8 +178,8 @@ def _lagrangian_cell_sums(ifs, weight_12, weight_21):
     weights: inflow terms from the left interface (where a switch is on) plus
     inflow terms from the right interface (where it is off). Phase 2's sum
     is its exact negative."""
-    q, on12, on21 = ifs.quad, ifs.on_12, ifs.on_21
-    term21, term12 = q.p_lk * weight_21, q.p_kl * weight_12
+    (on12, on21), w = ifs.on, ifs.weight
+    term21, term12 = w[1, 0] * weight_21, w[0, 1] * weight_12
     plus = on21 * term21 - on12 * term12
     minus = (1.0 - on21) * term21 - (1.0 - on12) * term12
     return plus[..., :-1] + minus[..., 1:]
@@ -170,7 +189,8 @@ def boundary_lagrangian(ifs: InterfaceFluxSet):
     """Cross-phase Lagrangian flux sums per cell and phase, shape (3, n) given
     n + 1 interfaces, from the cross fans' p* [0, 1, sigma], as (s, -s); the
     step adds lam * s for phase 1 and subtracts it for phase 2."""
-    s = _lagrangian_cell_sums(ifs, ifs.fan_12.lagrangian, ifs.fan_21.lagrangian)
+    lag = ifs.fan.lagrangian
+    s = _lagrangian_cell_sums(ifs, lag[:, 0, 1], lag[:, 1, 0])
     return s, -s
 
 
@@ -178,7 +198,8 @@ def volume_fraction_rhs(ifs: InterfaceFluxSet):
     """Discrete right-hand side of the volume-fraction transport per cell and
     phase (flux -> 0, state -> 1 turns the Lagrangian flux into -sigma), as
     (s, -s): the phases sum to zero, preserving saturation exactly."""
-    s = _lagrangian_cell_sums(ifs, -ifs.fan_12.sigma, -ifs.fan_21.sigma)
+    sigma = ifs.fan.sigma
+    s = _lagrangian_cell_sums(ifs, -sigma[0, 1], -sigma[1, 0])
     return s, -s
 
 
@@ -205,32 +226,44 @@ def hyperbolic_step(grid: Grid1D, regime: RegimeField, dt, eos1, eos2) -> Grid1D
     block. It checks its cells once (phase_primitives) and the new state once
     (validate_mixture); convex_quad checks r in each block.
     """
-    cells = _edge_copied(grid, regime, eos1, eos2)
+    rows = _step_rows(grid, regime, eos1, eos2)
     n = grid.n_cells
     n_blocks = -(-n // _BLOCK_CELLS)
     bounds = [k * n // n_blocks for k in range(n_blocks + 1)]
     lam = dt / grid.dx
+    # phase k's rows alpha_k, U_k (3) at [k - 1]
+    old = grid.state.reshape(2, 4, n)
 
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        ifs = _interface_block(cells[:, lo:hi + 2], regime.values[lo:hi + 1], eos1, eos2)
-        e1, e2 = ensemble_flux(ifs)
-        lag = lam * _lagrangian_cell_sums(ifs, ifs.fan_12.lagrangian, ifs.fan_21.lagrangian)
-        vrhs = lam * _lagrangian_cell_sums(ifs, -ifs.fan_12.sigma, -ifs.fan_21.sigma)
+        ifs = _interface_block(_block_cells(rows, lo, hi), regime.values[lo:hi + 1],
+                               eos1, eos2, lo)
+        e = ensemble_flux(ifs)
+        # one pass over the cross fans' weights p* [1, sigma] (the Lagrangian
+        # flux p* [0, 1, sigma] without its zero mass row) and -sigma (the
+        # volume fraction's): rows momentum, energy, alpha of phase 1's sums
+        sigma, p_star = _cross(ifs.fan.sigma), _cross(ifs.fan.p_star)
+        w = np.array([p_star, p_star * sigma, -sigma])
+        s = lam * _lagrangian_cell_sums(ifs, w[:, 0], w[:, 1])
+        # phase 2's sums are phase 1's negated, and x + (-y) is x - y bit for
+        # bit. The mass rows get no sum: the Lagrangian flux's mass row is
+        # +0.0, and x + 0.0 differs from x only at x = -0.0; a cell with a
+        # mass of -0.0 or 0.0 fails the new state's density check either way
+        # where alpha > 0, and keeps its old U where alpha = 0
+        s = np.array((s, -s))
+        alpha, u_old = old[:, 0, lo:hi], old[:, 1:, lo:hi]
+        alpha_u = alpha[:, None] * u_old
+        alpha_u -= lam * (e[..., 1:] - e[..., :-1])
+        alpha_u[:, 1:] += s[:, :2]
         if lo == 0:
             # made after the first block's temporaries, so that their freed
             # space is not trimmed off the heap top and faulted back each step
             new = np.empty_like(grid.state)
-        # rows alpha_k, U_k of phase k start at row 0 (phase 1) and 4 (phase 2);
-        # phase 2's sums are phase 1's negated, and x + (-y) is x - y bit for bit
-        for row, e, sign in ((0, e1, np.add), (4, e2, np.subtract)):
-            alpha = grid.state[row, lo:hi]
-            u_old = grid.state[row + 1:row + 4, lo:hi]
-            alpha_u = sign(alpha * u_old - lam * (e[:, 1:] - e[:, :-1]), lag)
-            alpha_new = sign(alpha, vrhs, out=new[row, lo:hi])
-            present = alpha_new > 0.0
-            u_new = np.divide(alpha_u, np.where(present, alpha_new, 1.0),
-                              out=new[row + 1:row + 4, lo:hi])
-            np.copyto(u_new, u_old, where=~present)
+            new_rows = new.reshape(2, 4, n)
+        alpha_new = np.add(alpha, s[:, 2], out=new_rows[:, 0, lo:hi])
+        present = alpha_new > 0.0
+        u_new = np.divide(alpha_u, np.where(present, alpha_new, 1.0)[:, None],
+                          out=new_rows[:, 1:, lo:hi])
+        np.copyto(u_new, u_old, where=~present[:, None])
 
     out = replace(grid, state=new)
     validate_mixture(out.cells, eos1, eos2, context="after hyperbolic step")

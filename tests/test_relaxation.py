@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from demflow.config import preset_config
 from demflow.eos import EosParams, internal_energy
 from demflow.errors import InvalidStateError
 from demflow.relaxation import (ReducedEquilibrium, kernel_range_vectors,
                                 maxwellian, projection_matrix, reduce_equilibrium,
                                 reduced_jacobian, relax_continuous,
                                 relax_projection)
+from demflow.scheme import run
 from demflow.state import (Conserved, MixtureCell, PhaseCellState, Primitive,
                            cons_to_prim, mixture_quantities, prim_to_cons)
 
@@ -241,6 +243,20 @@ def test_maxwellian_errors_name_phase_and_cell():
 
 
 # ------------------------------------------------------ projection (B)
+
+def test_projection_failure_names_itself_and_its_validity_bound():
+    # the linearized update rho1 (1 - a2 (p1 - p2) / d) turns negative past
+    # the bound: at +-20 m/s the first step's water tension crosses it
+    cfg = preset_config("t4_cavitation", ["left_u1=-20", "left_u2=-20", "right_u1=20",
+                                          "right_u2=20", "relaxation=projection",
+                                          "n_cells=200"])
+    with pytest.raises(InvalidStateError, match=(
+            r"^projection relaxation outside its validity bound at cell 99: "
+            r"p1 - p2 = [-+.e0-9]+ Pa, a2 \(p1 - p2\) / d = [-+.e0-9]+ >= 1 "
+            r"\(phase 1: non-positive or non-finite density at cell 99\) "
+            r"\(at t = 0\.000000000e\+00 s, step 1\)$")):
+        run(cfg)
+
 
 def test_relax_projection_fixed_point():
     cell = make_cell(0.25, Primitive(12.0, -2.0, 8e5), Primitive(1050.0, -2.0, 8e5))

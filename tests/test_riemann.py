@@ -209,6 +209,31 @@ def test_hllc_flux0_matches_four_branch_sampler_bitwise():
         assert fan.flux0.tobytes() == four_branch_flux0(*sub).tobytes()
 
 
+def test_hllc_errors_name_interface_and_states():
+    # a NaN sound speed crosses the wave speed estimates: a call over
+    # interfaces names the first failing one, a scalar call only the states
+    left = thermo_state(Primitive(np.array([1.0, 1.0, 2.0]), np.zeros(3),
+                                  np.array([1e5, np.nan, np.nan])), GAS)
+    right = thermo_state(Primitive(np.ones(3), np.zeros(3), np.full(3, 1e5)), GAS)
+    with pytest.raises(SolverError, match=r"^HLLC wave speed estimates crossed "
+                                          r"\(vacuum-adjacent states\) at interface 1: "
+                                          r"left \(rho, u, p\) = \(1, 0, nan\), "
+                                          r"right \(rho, u, p\) = \(1, 0, 100000\)$"):
+        hllc(left, right)
+    # the contact of these states lies right of s_R: an error where the fan
+    # has weight, zeros where it has none
+    left = thermo_state(Primitive(16.05, -908.0, 5.5e5), GAS)
+    right = thermo_state(Primitive(304.6, -139.0, -4.98e8), LIQUID)
+    with pytest.raises(SolverError, match=r"^HLLC contact speed left the wave fan: "
+                                          r"left \(rho, u, p\) = \(16\.05, -908, 550000\), "
+                                          r"right \(rho, u, p\) = "
+                                          r"\(304\.6, -139, -498000000\)$"):
+        hllc(left, right, weight=0.25)
+    fan = hllc(left, right, weight=0.0)
+    for x in (fan.flux0, fan.sigma, fan.p_star):
+        assert np.all(x == 0.0)
+
+
 # ------------------------------------------------------ lagrangian flux
 
 def test_lagrangian_flux_stationary_contact():

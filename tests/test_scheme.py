@@ -68,8 +68,8 @@ def count_supersonic_calls(monkeypatch):
     interfaces had x/t = 0 outside the star region (s_L >= 0 or s_R < 0)."""
     seen = []
 
-    def watched(left, right, solve=scheme.hllc):
-        fan = solve(left, right)
+    def watched(left, right, *args, solve=scheme.hllc):
+        fan = solve(left, right, *args)
         seen.append(bool(np.any((fan.s_left >= 0.0) | (fan.s_right < 0.0))))
         return fan
 
@@ -160,9 +160,123 @@ def test_cross_pair_switches_are_on_at_zero_contact_speed():
     grid = make_grid(np.full(n, 0.5), uniform_primitive(n, 1.2, 0.0, 1e5),
                      uniform_primitive(n, 1000.0, 0.0, 1e5))
     ifs = interface_fluxes(grid, constant_field(grid, 0.5), GAS, LIQUID)
-    for fan, on in ((ifs.fan_12, ifs.on_12), (ifs.fan_21, ifs.on_21)):
-        assert np.all(fan.sigma == 0.0)
+    for pairing, on in (((0, 1), ifs.on[0]), ((1, 0), ifs.on[1])):
+        assert np.all(ifs.fan.sigma[pairing] == 0.0)
         assert on.dtype == float and np.all(on == 1.0)
+
+
+def edge_copied_sides(v, n):
+    """Primitives of the cells left and right of each of the n + 1
+    interfaces, the outer cells copies of the edge cells."""
+    cols = np.arange(-1, n + 1).clip(0, n - 1)
+    rho, u, p = (np.asarray(x)[cols] for x in (v.rho, v.u, v.p))
+    return Primitive(rho[:-1], u[:-1], p[:-1]), Primitive(rho[1:], u[1:], p[1:])
+
+
+def two_gas_grid(n, seed=0):
+    """Two gases streaming supersonically to the right through the first
+    third, resting in the middle third and streaming to the left through the
+    last, so that every pairing has interfaces on both sides of the fan."""
+    rng = np.random.default_rng(seed)
+    third = n // 3
+    sign = np.concatenate([np.ones(third), np.zeros(n - 2 * third), -np.ones(third)])
+    # rho in [50, 100], p in [2e5, 3e5]: sound speeds below 90 m/s
+    v1, v2 = (Primitive(rng.uniform(50.0, 100.0, n), sign * rng.uniform(300.0, 400.0, n),
+                        rng.uniform(2e5, 3e5, n)) for _ in range(2))
+    return make_grid(rng.uniform(0.1, 0.9, n), v1, v2, eos2=GAS)
+
+
+@pytest.mark.parametrize("case, supersonic_pairings", [
+    ("t1_uniform_vf", 1), ("t3_pure_phases", 1), ("two_gases", 4), ("at_rest", 0)])
+def test_four_pairing_call_equals_four_calls_bitwise(case, supersonic_pairings):
+    # the step's one (2, 2, m) hllc call against four separate calls on the
+    # edge-copied cells of each phase: the final t1 and t3 states have
+    # supersonic gas interfaces (one pairing needs the physical flux, the
+    # others not), two gases have them in every pairing, and gas and liquid
+    # at rest give sigma = -0.0 across phases
+    if case in ("two_gases", "at_rest"):
+        n = 30
+        grid = (two_gas_grid(n) if case == "two_gases" else
+                make_grid(np.full(n, 0.5), uniform_primitive(n, 1.2, 0.0, 1e5),
+                          uniform_primitive(n, 1000.0, 0.0, 1e5)))
+        eos = (GAS, GAS) if case == "two_gases" else (GAS, LIQUID)
+        field = constant_field(grid, 0.5)
+    else:
+        cfg = preset_config(case, ["n_cells=200"])
+        grid = run(cfg)[-1].grid
+        field, eos = init_field(cfg.regime_policy, grid), (cfg.eos1, cfg.eos2)
+    ifs = interface_fluxes(grid, field, *eos)
+    sides = [edge_copied_sides(v, grid.n_cells)
+             for v in state.phase_primitives(grid.cells, *eos)]
+    supersonic = 0
+    for k in (0, 1):
+        for l in (0, 1):
+            fan = hllc(thermo_state(sides[k][0], eos[k]), thermo_state(sides[l][1], eos[l]))
+            beyond = (fan.s_left >= 0.0) | (fan.s_right < 0.0)
+            supersonic += bool(np.any(beyond)) and not np.all(beyond)
+            for name in ("flux0", "sigma", "p_star", "s_left", "s_right"):
+                got = getattr(ifs.fan, name)[..., k, l, :]
+                assert got.tobytes() == getattr(fan, name).tobytes(), (k, l, name)
+            if case == "at_rest" and k != l:
+                assert np.all(fan.sigma == 0.0) and np.all(np.signbit(fan.sigma))
+    assert supersonic == supersonic_pairings
+
+
+# ----------------------------------------------------- cross fans without weight
+
+# gas, and liquid in tension, both streaming left: between them HLLC puts
+# the contact at 1166 m/s, right of s_R = 1077 m/s (exact_rp finds vacuum)
+FAN_GAS = (16.05, -908.0, 5.5e5)
+FAN_LIQUID = (304.6, -139.0, -4.98e8)
+
+
+def expansion_grid(n, alpha1):
+    """FAN_GAS / FAN_LIQUID left of the middle, mirrored (u -> -u) right of it."""
+    sign = np.where(np.arange(n) < n // 2, 1.0, -1.0)
+    v1, v2 = (Primitive(np.full(n, rho), sign * u, np.full(n, p))
+              for rho, u, p in (FAN_GAS, FAN_LIQUID))
+    return make_grid(np.full(n, alpha1), v1, v2)
+
+
+def test_cross_fan_without_weight_does_not_stop_the_step():
+    # r = 0 and equal fractions: p_kl = p_lk = 0, so the gas/liquid fans,
+    # whose contact left the wave fan, count in no term and the phases
+    # decouple into two single-phase Godunov updates (criterion 1)
+    grid = expansion_grid(12, 0.01)
+    dt = 0.5 * cfl_dt(grid, 0.9, GAS, LIQUID)
+    out = hyperbolic_step(grid, constant_field(grid, 0.0), dt, GAS, LIQUID)
+    assert np.all(out.state[0] == 0.01) and np.all(out.state[4] == 0.99)
+    for got, v, eos in ((out.state[1:4], cons_to_prim(grid.cells.phase1.cons, GAS), GAS),
+                        (out.state[5:], cons_to_prim(grid.cells.phase2.cons, LIQUID), LIQUID)):
+        expected = godunov_update(v, eos, dt, grid.dx)
+        assert np.max(np.abs(got - expected) / (np.abs(expected) + 1.0)) < 1e-11
+
+
+def test_strong_expansion_without_relaxation_completes_decoupled():
+    # r = 0 and alpha1 = 0.01 everywhere: no cross fan has weight, so no
+    # volume moves between the phases while the expansion runs into tension
+    cfg = preset_config("t4_cavitation", ["left_u1=-1000", "left_u2=-1000", "right_u1=1000",
+                                          "right_u2=1000", "relaxation=none", "n_cells=200"])
+    grid = run(cfg)[-1].grid
+    assert np.all(np.isfinite(grid.state))
+    assert np.all(grid.state[0] == 0.01)
+
+
+def test_weighted_fan_outside_its_wave_fan_names_interface_pairing_and_states(monkeypatch):
+    # r = 0.5 from interface `face` on gives the same fans weight there: the
+    # error names that interface of the grid, in a later block too, the
+    # first failing pairing there and both of its states
+    left = r"\(rho, u, p\) = \(16\.05, 908, 550000\)"
+    right = r"\(rho, u, p\) = \(304\.6, 139, -498000000\)"
+    for n, block, face in ((12, scheme._BLOCK_CELLS, 7), (40, 8, 29)):
+        monkeypatch.setattr(scheme, "_BLOCK_CELLS", block)
+        grid = expansion_grid(n, 0.01)
+        r = np.where(np.arange(n + 1) >= face, 0.5, 0.0)
+        field = replace(constant_field(grid, 0.0), values=r)
+        with pytest.raises(SolverError, match=rf"^HLLC contact speed left the wave fan "
+                                              rf"at interface {face}, pairing 12: "
+                                              rf"left {left}, right {right}$"):
+            hyperbolic_step(grid, field, 1e-9, GAS, LIQUID)
 
 
 # ------------------------------------------------- fixed points / limits
@@ -378,6 +492,21 @@ def assert_same_bits(a, b):
         assert x.tobytes() == y.tobytes()
 
 
+def test_step_solves_each_block_in_one_call(monkeypatch):
+    # per block: one equation-of-state evaluation, one hllc call for the
+    # four pairings and one pass over the cross fans' terms
+    calls = {"thermo_state": 0, "hllc": 0, "_lagrangian_cell_sums": 0}
+    for name in calls:
+        def counted(*args, fn=getattr(scheme, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(scheme, name, counted)
+    monkeypatch.setattr(scheme, "_BLOCK_CELLS", 7)
+    grid = random_grid(50, seed=9)
+    hyperbolic_step(grid, constant_field(grid, 0.4), 1e-7, GAS, LIQUID)
+    assert calls == {"thermo_state": 8, "hllc": 8, "_lagrangian_cell_sums": 8}
+
+
 def test_blocked_step_matches_one_block_bitwise(monkeypatch):
     # each interface reads its two cells and its r, each cell its two
     # interfaces, so every split of the cells gives the same bits
@@ -539,15 +668,15 @@ def test_cfl_dt_monotone_as_states_steepen():
 def test_outer_interfaces_solve_edge_cell_against_itself():
     grid = random_grid(6, seed=6)
     ifs = interface_fluxes(grid, constant_field(grid, 0.3), GAS, LIQUID)
-    assert ifs.fan_11.flux0.shape == (3, 7)
-    for phase, eos, fan in ((grid.cells.phase1, GAS, ifs.fan_11),
-                            (grid.cells.phase2, LIQUID, ifs.fan_22)):
+    assert ifs.fan.flux0.shape == (3, 2, 2, 7)
+    for phase, eos, flux0 in ((grid.cells.phase1, GAS, ifs.fan.flux0[:, 0, 0]),
+                              (grid.cells.phase2, LIQUID, ifs.fan.flux0[:, 1, 1])):
         v = cons_to_prim(phase.cons, eos)
         for cell, face in ((0, 0), (-1, -1)):
             edge = thermo_state(Primitive(v.rho[cell], v.u[cell], v.p[cell]), eos)
-            assert np.array_equal(fan.flux0[:, face], hllc(edge, edge).flux0)
+            assert np.array_equal(flux0[:, face], hllc(edge, edge).flux0)
     a1 = np.asarray(grid.cells.phase1.alpha)
-    assert np.array_equal(ifs.quad.p_kk[[0, -1]],
+    assert np.array_equal(ifs.weight[0, 0, [0, -1]],
                           convex_quad(a1[[0, -1]], a1[[0, -1]], 0.3).p_kk)
 
 
