@@ -14,9 +14,8 @@ from .relaxation import (ReducedEquilibrium, maxwellian, projection_matrix,
                          reduce_equilibrium, relax_continuous, relax_projection)
 from .riemann import (AcousticInterface, ExactRiemannSolution, RiemannFan,
                       ThermoState, exact_rp, hllc, interfacial_decomposition, thermo_state)
-from .scheme import (Grid1D, InterfaceFluxSet, Snapshot, boundary_lagrangian,
-                     cfl_dt, ensemble_flux, hyperbolic_step, initial_grid,
-                     interface_fluxes, run, volume_fraction_rhs)
+from .scheme import (Grid1D, InterfaceFluxSet, Snapshot, cfl_dt, ensemble_flux,
+                     hyperbolic_step, initial_grid, interface_fluxes, run)
 from .snapshots import (FieldError, OracleSpec, compare_oracle,
                         oracle_from_string, read_snapshot, write_snapshot)
 from .state import (Conserved, MixtureCell, PhaseCellState, Primitive,

@@ -162,11 +162,17 @@ def _cmd_sweep(args):
     values = _float_list(args.values, "--values")
     if not values:
         raise ConfigError("sweep-r needs at least one value")
+    # one file per value, named by its 6 significant digits ({:g}); values
+    # that share a name are rejected before any member runs
+    members = {}
     for value in values:
-        cfg = replace(config, regime_policy=ConstantRegime(value))
-        snapshots = run(cfg)
         path = base.with_name(f"{base.stem}_r{value:g}{base.suffix or '.csv'}")
-        _write_all(cfg, snapshots[-1:], path)
+        if path in members:
+            raise ConfigError(f"--values {members[path]!r} and {value!r} both write {path}")
+        members[path] = value
+    for path, value in members.items():
+        cfg = replace(config, regime_policy=ConstantRegime(value))
+        _write_all(cfg, run(cfg)[-1:], path)
         print(f"wrote {path} (r = {value:g})")
     return 0
 

@@ -227,10 +227,11 @@ def _build(entries) -> RunConfig:
         eps = take("regime_epsilon", float)
         if eps is None:
             raise ConfigError("stochastic regime needs regime_epsilon")
-        policy = built(StochasticRegime, {"epsilon": "regime_epsilon", "initial": "regime_r0"},
+        policy = built(StochasticRegime, {"epsilon": "regime_epsilon", "initial": "regime_r0",
+                                          "seed": "seed"},
                        epsilon=eps, seed=seed, initial=take("regime_r0", float, 0.0))
     else:
-        policy = UniformRandomRegime(seed=seed)
+        policy = built(UniformRandomRegime, {"seed": "seed"}, seed=seed)
 
     snapshot_times = take("snapshots", float_list, ())
     for s in snapshot_times:

@@ -52,6 +52,11 @@ class PiecewiseRegime:
         return f"piecewise:breakpoints={bps}:values={vals}"
 
 
+def _check_seed(seed):
+    """A random policy's seed, which numpy's generator takes only when >= 0."""
+    _require(seed >= 0, ConfigError, "seed", f"regime seed must be non-negative, got {seed}")
+
+
 @dataclass(frozen=True)
 class StochasticRegime:
     """Per-step random walk r += epsilon * Unif[-1, 1], clamped to [0, 1]."""
@@ -65,6 +70,7 @@ class StochasticRegime:
                  f"regime epsilon must be non-negative, got {self.epsilon}")
         _require(0.0 <= self.initial <= 1.0, ConfigError, "initial",
                  f"regime value {self.initial} outside [0, 1]")
+        _check_seed(self.seed)
 
     def describe(self):
         return f"stochastic:epsilon={self.epsilon:g}:r0={self.initial:g}:seed={self.seed}"
@@ -75,6 +81,9 @@ class UniformRandomRegime:
     """Fresh U[0, 1] draw per interface per step (comparison mode)."""
 
     seed: int
+
+    def __post_init__(self):
+        _check_seed(self.seed)
 
     def describe(self):
         return f"uniform:seed={self.seed}"

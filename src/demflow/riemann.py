@@ -6,10 +6,11 @@ workhorse flux (Davis wave speed estimates), reads two such records, so each
 side may carry its own stiffened-gas parameters while the solver calls no EOS
 function. The records broadcast, so one call on both phases' rows, left
 (2, 1, m) and right (1, 2, m), solves all four phase pairings of m
-interfaces. Its fan gives the moving-interface (Lagrangian) flux
-p* [0, 1, sigma] on demand. exact_rp is the iterative exact solver used as an
-oracle, and interfacial_decomposition gives the closed-form acoustic contact
-speed / pressure split into symmetric and antisymmetric parts.
+interfaces. Its fan's contact speed sigma and star pressure p* give the
+moving-interface (Lagrangian) flux p* [0, 1, sigma]. exact_rp is the iterative
+exact solver used as an oracle, and interfacial_decomposition gives the
+closed-form acoustic contact speed / pressure split into symmetric and
+antisymmetric parts.
 """
 
 from dataclasses import dataclass
@@ -49,18 +50,13 @@ def thermo_state(v: Primitive, eos: EosParams) -> ThermoState:
 @dataclass(frozen=True)
 class RiemannFan:
     """Solved Riemann fan: flux sampled at x/t = 0, contact speed sigma, star
-    pressure and outer wave speed estimates; `lagrangian` is computed when read."""
+    pressure and outer wave speed estimates."""
 
     flux0: np.ndarray
     sigma: float | np.ndarray
     p_star: float | np.ndarray
     s_left: float | np.ndarray
     s_right: float | np.ndarray
-
-    @property
-    def lagrangian(self) -> np.ndarray:
-        """Star-region F* - sigma U* = p* [0, 1, sigma], the same on both sides."""
-        return np.array([np.zeros_like(self.p_star), self.p_star, self.p_star * self.sigma])
 
 
 def _gather(x, at):

@@ -173,34 +173,17 @@ def ensemble_flux(ifs: InterfaceFluxSet):
             + (1.0 - on[::-1]) * w[2:0:-1] * flux[2:0:-1])
 
 
-def _lagrangian_cell_sums(ifs, weight_12, weight_21):
-    """Phase 1's four-term signed Lagrangian sum per cell from per-interface
-    weights: inflow terms from the left interface (where a switch is on) plus
-    inflow terms from the right interface (where it is off). Phase 2's sum
-    is its exact negative."""
+def _lagrangian_cell_sums(ifs, cross):
+    """Phase 1's four-term signed sum per cell of the cross fans' weights
+    `cross` (rows, 2, m), the 12 fan's at [:, 0] and the 21 fan's at [:, 1]:
+    inflow terms from the left interface (where a switch is on) plus inflow
+    terms from the right interface (where it is off). Phase 2's sum is its
+    exact negative."""
     (on12, on21), w = ifs.on, ifs.weight
-    term21, term12 = w[1, 0] * weight_21, w[0, 1] * weight_12
+    term21, term12 = w[1, 0] * cross[:, 1], w[0, 1] * cross[:, 0]
     plus = on21 * term21 - on12 * term12
     minus = (1.0 - on21) * term21 - (1.0 - on12) * term12
     return plus[..., :-1] + minus[..., 1:]
-
-
-def boundary_lagrangian(ifs: InterfaceFluxSet):
-    """Cross-phase Lagrangian flux sums per cell and phase, shape (3, n) given
-    n + 1 interfaces, from the cross fans' p* [0, 1, sigma], as (s, -s); the
-    step adds lam * s for phase 1 and subtracts it for phase 2."""
-    lag = ifs.fan.lagrangian
-    s = _lagrangian_cell_sums(ifs, lag[:, 0, 1], lag[:, 1, 0])
-    return s, -s
-
-
-def volume_fraction_rhs(ifs: InterfaceFluxSet):
-    """Discrete right-hand side of the volume-fraction transport per cell and
-    phase (flux -> 0, state -> 1 turns the Lagrangian flux into -sigma), as
-    (s, -s): the phases sum to zero, preserving saturation exactly."""
-    sigma = ifs.fan.sigma
-    s = _lagrangian_cell_sums(ifs, -sigma[0, 1], -sigma[1, 0])
-    return s, -s
 
 
 def cfl_dt(grid: Grid1D, cfl, eos1, eos2) -> float:
@@ -243,7 +226,7 @@ def hyperbolic_step(grid: Grid1D, regime: RegimeField, dt, eos1, eos2) -> Grid1D
         # volume fraction's): rows momentum, energy, alpha of phase 1's sums
         sigma, p_star = _cross(ifs.fan.sigma), _cross(ifs.fan.p_star)
         w = np.array([p_star, p_star * sigma, -sigma])
-        s = lam * _lagrangian_cell_sums(ifs, w[:, 0], w[:, 1])
+        s = lam * _lagrangian_cell_sums(ifs, w)
         # phase 2's sums are phase 1's negated, and x + (-y) is x - y bit for
         # bit. The mass rows get no sum: the Lagrangian flux's mass row is
         # +0.0, and x + 0.0 differs from x only at x = -0.0; a cell with a

@@ -420,6 +420,24 @@ def test_cli_override_errors_name_the_override(capsys):
     assert err == "error: override n_cells=abc: cannot parse n_cells='abc'\n"
 
 
+@pytest.mark.parametrize("overrides", [["seed=-1"], ["regime=uniform", "seed=-1"]],
+                         ids=["stochastic", "uniform"])
+def test_cli_negative_seed_names_the_override(overrides, capsys):
+    # numpy's generator takes no negative seed: a random policy rejects it
+    # where it is built, before any run starts
+    args = [a for o in overrides for a in ("--override", o)]
+    assert main(["preset", "t6_dense_dilute", *args]) == 1
+    assert capsys.readouterr().err == (
+        "error: override seed=-1: regime seed must be non-negative, got -1\n")
+
+
+def test_config_negative_seed_names_its_line():
+    with pytest.raises(ConfigError, match=r"^line 2: regime seed must be non-negative"):
+        parse_config("preset = t6_dense_dilute\nseed = -2\n")
+    # a constant regime never reads its seed
+    assert parse_config("preset = t1_uniform_vf\nseed = -2\n").seed == -2
+
+
 def test_cli_sweep_r(tmp_path):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(MINIMAL)
@@ -427,6 +445,19 @@ def test_cli_sweep_r(tmp_path):
                  "-o", str(tmp_path / "sweep.csv")]) == 0
     assert (tmp_path / "sweep_r0.csv").exists()
     assert (tmp_path / "sweep_r1.csv").exists()
+
+
+def test_cli_sweep_r_rejects_values_sharing_a_file_name(tmp_path, capsys):
+    # file names carry 6 significant digits: two values that agree in them
+    # would write one file, so nothing runs
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(MINIMAL)
+    out = tmp_path / "sw.csv"
+    assert main(["sweep-r", str(cfg_path), "--values", "0.5,0.1234561,0.1234564",
+                 "-o", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: --values 0.1234561 and 0.1234564 both write "
+                                       f"{tmp_path / 'sw_r0.123456.csv'}\n")
+    assert not list(tmp_path.glob("sw*"))
 
 
 def test_cli_sweep_r_rejects_unparsable_value(tmp_path, capsys):

@@ -44,8 +44,10 @@ def test_piecewise_field_reference_values():
     lambda: PiecewiseRegime(breakpoints=(0.1,), values=(0.1, -0.2)),
     lambda: StochasticRegime(epsilon=-1e-3, seed=0),
     lambda: StochasticRegime(epsilon=1e-3, seed=0, initial=np.nan),
+    lambda: StochasticRegime(epsilon=1e-3, seed=-1),
+    lambda: UniformRandomRegime(seed=-1),
 ], ids=["constant_range", "piecewise_count", "piecewise_order", "piecewise_range",
-        "stochastic_epsilon", "stochastic_initial"])
+        "stochastic_epsilon", "stochastic_initial", "stochastic_seed", "uniform_seed"])
 def test_policies_reject_bad_values_where_they_are_built(build):
     with pytest.raises(ConfigError):
         build()

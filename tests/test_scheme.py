@@ -88,6 +88,11 @@ def phase_prims(grid):
             cons_to_prim(grid.cells.phase2.cons, LIQUID))
 
 
+def lagrangian_flux(fan):
+    """The star region's F* - sigma U* = p* [0, 1, sigma] of a scalar fan."""
+    return np.array([0.0, fan.p_star, fan.p_star * fan.sigma])
+
+
 def reference_step(grid, r_values, dt, eos1=GAS, eos2=LIQUID):
     """Scalar-loop transliteration of the semi-discrete scheme, as the oracle
     for the vectorized assembly. Phase 2's terms are written out from the
@@ -128,8 +133,8 @@ def reference_step(grid, r_values, dt, eos1=GAS, eos2=LIQUID):
             E[k][:, j] = (prob[k, k] * fan[k, k].flux0
                           + max(b[k, l], 0.0) * prob[k, l] * fan[k, l].flux0
                           + max(-b[l, k], 0.0) * prob[l, k] * fan[l, k].flux0)
-            flag_lk = fan[l, k].lagrangian
-            flag_kl = fan[k, l].lagrangian
+            flag_lk = lagrangian_flux(fan[l, k])
+            flag_kl = lagrangian_flux(fan[k, l])
             plus[k][:, j] = (max(b[l, k], 0.0) * prob[l, k] * flag_lk
                              - max(b[k, l], 0.0) * prob[k, l] * flag_kl)
             minus[k][:, j] = (max(-b[l, k], 0.0) * prob[l, k] * flag_lk
@@ -710,19 +715,38 @@ def test_boundary_flux_equals_interior_under_uniform_data():
 
 def test_lagrangian_terms_local_to_material_interface():
     # single interior alpha jump, r=0, mechanical disequilibrium across it:
-    # the cross-phase Lagrangian sum is nonzero only next to the jump
-    from demflow.scheme import boundary_lagrangian
+    # what one step adds beyond the conservative flux difference (the
+    # cross-phase Lagrangian and volume-fraction sums) is nonzero only next
+    # to the jump, and one phase's is the other's negated
     n = 6
     a1 = np.array([0.8, 0.8, 0.8, 0.2, 0.2, 0.2])
     v1 = Primitive(np.full(n, 2.0), np.full(n, 15.0), np.full(n, 4e5))
     v2 = Primitive(np.full(n, 1000.0), np.full(n, -5.0), np.full(n, 2e5))
     grid = make_grid(a1, v1, v2)
-    ifs = interface_fluxes(grid, constant_field(grid, 0.0), GAS, LIQUID)
-    l1, l2 = boundary_lagrangian(ifs)
-    nonzero_cells = np.nonzero(np.any(l1 != 0.0, axis=0))[0]
-    # the jump sits between cells 2 and 3
-    assert set(nonzero_cells) <= {2, 3} and len(nonzero_cells) > 0
-    assert np.array_equal(l2, -l1)
+    field = constant_field(grid, 0.0)
+    dt = 0.5 * cfl_dt(grid, 0.9, GAS, LIQUID)
+    lam = dt / grid.dx
+    e = ensemble_flux(interface_fluxes(grid, field, GAS, LIQUID))
+    step = hyperbolic_step(grid, field, dt, GAS, LIQUID)
+    old, new = grid.state.reshape(2, 4, n), step.state.reshape(2, 4, n)
+    alpha, u_old = old[:, 0], old[:, 1:]
+    # the conservative update alone, in the step's operation order
+    alpha_u = alpha[:, None] * u_old - lam * (e[..., 1:] - e[..., :-1])
+    # away from the jump the step is that update bit for bit
+    far = [0, 1, 4, 5]
+    assert np.array_equal(new[:, 0, far], alpha[:, far])
+    assert np.array_equal(new[:, 1:, far], (alpha_u / alpha[:, None])[..., far])
+    # the jump sits between cells 2 and 3: there the terms are above the
+    # round-off of undoing the division by the new fraction, in rows alpha,
+    # momentum and energy (the Lagrangian flux has no mass row)
+    added = np.concatenate([(new[:, 0] - alpha)[:, None],
+                            new[:, 0, None] * new[:, 1:] - alpha_u], axis=1)[..., 2:4]
+    tol = 1e-12 * np.abs(np.concatenate([alpha[:, None], alpha_u], axis=1)).max(axis=0)[:, 2:4]
+    changed = np.abs(added) > tol
+    assert changed.any() and not changed[:, 1].any()
+    # phase 2 receives phase 1's terms negated
+    assert np.array_equal(changed[0], changed[1])
+    assert np.all(np.abs(added[1] + added[0]) <= tol)
 
 
 def test_step_rejects_regime_shape_mismatch():
