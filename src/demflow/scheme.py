@@ -175,15 +175,31 @@ def ensemble_flux(ifs: InterfaceFluxSet):
 
 def _lagrangian_cell_sums(ifs, cross):
     """Phase 1's four-term signed sum per cell of the cross fans' weights
-    `cross` (rows, 2, m), the 12 fan's at [:, 0] and the 21 fan's at [:, 1]:
-    inflow terms from the left interface (where a switch is on) plus inflow
-    terms from the right interface (where it is off). Phase 2's sum is its
-    exact negative."""
+    `cross` (..., 2, m), the 12 fan's at [..., 0, :] and the 21 fan's at
+    [..., 1, :]: inflow terms from the left interface (where a switch is on)
+    plus inflow terms from the right interface (where it is off). Phase 2's
+    sum is its exact negative."""
     (on12, on21), w = ifs.on, ifs.weight
-    term21, term12 = w[1, 0] * cross[:, 1], w[0, 1] * cross[:, 0]
+    term21, term12 = w[1, 0] * cross[..., 1, :], w[0, 1] * cross[..., 0, :]
     plus = on21 * term21 - on12 * term12
     minus = (1.0 - on21) * term21 - (1.0 - on12) * term12
     return plus[..., :-1] + minus[..., 1:]
+
+
+def boundary_lagrangian(ifs: InterfaceFluxSet):
+    """Phase 1's cross-phase Lagrangian flux sums per cell, rows momentum and
+    energy, shape (2, n) given n + 1 interfaces: the cross fans'
+    p* [0, 1, sigma] without its mass row, which is zero. The step adds
+    lam times them to phase 1 and subtracts them from phase 2."""
+    sigma, p_star = _cross(ifs.fan.sigma), _cross(ifs.fan.p_star)
+    return _lagrangian_cell_sums(ifs, np.array([p_star, p_star * sigma]))
+
+
+def volume_fraction_rhs(ifs: InterfaceFluxSet):
+    """Phase 1's volume-fraction transport per cell, shape (n,): the same sum
+    with flux -> 0 and state -> 1, which turns the Lagrangian flux into
+    -sigma. Phase 2's is its negative, so saturation holds exactly."""
+    return _lagrangian_cell_sums(ifs, -_cross(ifs.fan.sigma))
 
 
 def cfl_dt(grid: Grid1D, cfl, eos1, eos2) -> float:
@@ -221,28 +237,23 @@ def hyperbolic_step(grid: Grid1D, regime: RegimeField, dt, eos1, eos2) -> Grid1D
         ifs = _interface_block(_block_cells(rows, lo, hi), regime.values[lo:hi + 1],
                                eos1, eos2, lo)
         e = ensemble_flux(ifs)
-        # one pass over the cross fans' weights p* [1, sigma] (the Lagrangian
-        # flux p* [0, 1, sigma] without its zero mass row) and -sigma (the
-        # volume fraction's): rows momentum, energy, alpha of phase 1's sums
-        sigma, p_star = _cross(ifs.fan.sigma), _cross(ifs.fan.p_star)
-        w = np.array([p_star, p_star * sigma, -sigma])
-        s = lam * _lagrangian_cell_sums(ifs, w)
+        lag = lam * boundary_lagrangian(ifs)
+        frac = lam * volume_fraction_rhs(ifs)
         # phase 2's sums are phase 1's negated, and x + (-y) is x - y bit for
         # bit. The mass rows get no sum: the Lagrangian flux's mass row is
         # +0.0, and x + 0.0 differs from x only at x = -0.0; a cell with a
         # mass of -0.0 or 0.0 fails the new state's density check either way
         # where alpha > 0, and keeps its old U where alpha = 0
-        s = np.array((s, -s))
         alpha, u_old = old[:, 0, lo:hi], old[:, 1:, lo:hi]
         alpha_u = alpha[:, None] * u_old
         alpha_u -= lam * (e[..., 1:] - e[..., :-1])
-        alpha_u[:, 1:] += s[:, :2]
+        alpha_u[:, 1:] += np.array((lag, -lag))
         if lo == 0:
             # made after the first block's temporaries, so that their freed
             # space is not trimmed off the heap top and faulted back each step
             new = np.empty_like(grid.state)
             new_rows = new.reshape(2, 4, n)
-        alpha_new = np.add(alpha, s[:, 2], out=new_rows[:, 0, lo:hi])
+        alpha_new = np.add(alpha, np.array((frac, -frac)), out=new_rows[:, 0, lo:hi])
         present = alpha_new > 0.0
         u_new = np.divide(alpha_u, np.where(present, alpha_new, 1.0)[:, None],
                           out=new_rows[:, 1:, lo:hi])

@@ -14,8 +14,9 @@ from demflow.regime import ConstantRegime, init_field
 from demflow.relaxation import (kernel_range_vectors, projection_matrix, reduce_equilibrium,
                                 relax_continuous, relax_projection)
 from demflow.riemann import hllc, thermo_state
-from demflow.scheme import (Grid1D, cfl_dt, hyperbolic_step, initial_grid,
-                            interface_fluxes, ensemble_flux, run)
+from demflow.scheme import (Grid1D, boundary_lagrangian, cfl_dt, hyperbolic_step,
+                            initial_grid, interface_fluxes, ensemble_flux, run,
+                            volume_fraction_rhs)
 from demflow.snapshots import snapshot_table
 from demflow.state import (MixtureCell, PhaseCellState, Primitive, cell_rows,
                            cons_to_prim, mixture_quantities, prim_to_cons)
@@ -499,8 +500,10 @@ def assert_same_bits(a, b):
 
 def test_step_solves_each_block_in_one_call(monkeypatch):
     # per block: one equation-of-state evaluation, one hllc call for the
-    # four pairings and one pass over the cross fans' terms
-    calls = {"thermo_state": 0, "hllc": 0, "_lagrangian_cell_sums": 0}
+    # four pairings and one sum each for the cross fans' Lagrangian and
+    # volume-fraction terms
+    calls = {"thermo_state": 0, "hllc": 0, "boundary_lagrangian": 0,
+             "volume_fraction_rhs": 0}
     for name in calls:
         def counted(*args, fn=getattr(scheme, name), name=name):
             calls[name] += 1
@@ -509,7 +512,8 @@ def test_step_solves_each_block_in_one_call(monkeypatch):
     monkeypatch.setattr(scheme, "_BLOCK_CELLS", 7)
     grid = random_grid(50, seed=9)
     hyperbolic_step(grid, constant_field(grid, 0.4), 1e-7, GAS, LIQUID)
-    assert calls == {"thermo_state": 8, "hllc": 8, "_lagrangian_cell_sums": 8}
+    assert calls == {"thermo_state": 8, "hllc": 8, "boundary_lagrangian": 8,
+                     "volume_fraction_rhs": 8}
 
 
 def test_blocked_step_matches_one_block_bitwise(monkeypatch):
@@ -715,9 +719,9 @@ def test_boundary_flux_equals_interior_under_uniform_data():
 
 def test_lagrangian_terms_local_to_material_interface():
     # single interior alpha jump, r=0, mechanical disequilibrium across it:
-    # what one step adds beyond the conservative flux difference (the
-    # cross-phase Lagrangian and volume-fraction sums) is nonzero only next
-    # to the jump, and one phase's is the other's negated
+    # the step is the conservative flux difference plus the cross-phase
+    # Lagrangian and volume-fraction sums, added to phase 1 and subtracted
+    # from phase 2 bit for bit, and those sums are zero away from the jump
     n = 6
     a1 = np.array([0.8, 0.8, 0.8, 0.2, 0.2, 0.2])
     v1 = Primitive(np.full(n, 2.0), np.full(n, 15.0), np.full(n, 4e5))
@@ -726,27 +730,25 @@ def test_lagrangian_terms_local_to_material_interface():
     field = constant_field(grid, 0.0)
     dt = 0.5 * cfl_dt(grid, 0.9, GAS, LIQUID)
     lam = dt / grid.dx
-    e = ensemble_flux(interface_fluxes(grid, field, GAS, LIQUID))
+    ifs = interface_fluxes(grid, field, GAS, LIQUID)
+    e = ensemble_flux(ifs)
+    lag = lam * boundary_lagrangian(ifs)
+    frac = lam * volume_fraction_rhs(ifs)
+    # rows alpha, momentum, energy; the jump sits between cells 2 and 3, and
+    # each row reaches at least one of them
+    terms = np.concatenate([frac[None], lag])
+    assert np.all(np.any(terms[:, 2:4] != 0.0, axis=1))
+    assert np.all(terms[:, [0, 1, 4, 5]] == 0.0)
     step = hyperbolic_step(grid, field, dt, GAS, LIQUID)
     old, new = grid.state.reshape(2, 4, n), step.state.reshape(2, 4, n)
     alpha, u_old = old[:, 0], old[:, 1:]
-    # the conservative update alone, in the step's operation order
+    # the step's update, in its operation order, with phase 2's terms negated
+    # and no term in the mass rows
+    alpha_new = alpha + np.array((frac, -frac))
     alpha_u = alpha[:, None] * u_old - lam * (e[..., 1:] - e[..., :-1])
-    # away from the jump the step is that update bit for bit
-    far = [0, 1, 4, 5]
-    assert np.array_equal(new[:, 0, far], alpha[:, far])
-    assert np.array_equal(new[:, 1:, far], (alpha_u / alpha[:, None])[..., far])
-    # the jump sits between cells 2 and 3: there the terms are above the
-    # round-off of undoing the division by the new fraction, in rows alpha,
-    # momentum and energy (the Lagrangian flux has no mass row)
-    added = np.concatenate([(new[:, 0] - alpha)[:, None],
-                            new[:, 0, None] * new[:, 1:] - alpha_u], axis=1)[..., 2:4]
-    tol = 1e-12 * np.abs(np.concatenate([alpha[:, None], alpha_u], axis=1)).max(axis=0)[:, 2:4]
-    changed = np.abs(added) > tol
-    assert changed.any() and not changed[:, 1].any()
-    # phase 2 receives phase 1's terms negated
-    assert np.array_equal(changed[0], changed[1])
-    assert np.all(np.abs(added[1] + added[0]) <= tol)
+    alpha_u[:, 1:] += np.array((lag, -lag))
+    assert new[:, 0].tobytes() == alpha_new.tobytes()
+    assert new[:, 1:].tobytes() == (alpha_u / alpha_new[:, None]).tobytes()
 
 
 def test_step_rejects_regime_shape_mismatch():
