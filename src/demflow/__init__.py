@@ -11,7 +11,7 @@ from .regime import (ConstantRegime, PiecewiseRegime, RegimeField,
                      StochasticRegime, UniformRandomRegime, init_field,
                      stochastic_update)
 from .relaxation import (ReducedEquilibrium, maxwellian, projection_matrix,
-                         reduce_equilibrium, relax_continuous, relax_projection)
+                         relax_continuous, relax_projection)
 from .riemann import (AcousticInterface, ExactRiemannSolution, RiemannFan,
                       ThermoState, exact_rp, hllc, interfacial_decomposition, thermo_state)
 from .scheme import (Grid1D, InterfaceFluxSet, Snapshot, cfl_dt, ensemble_flux,

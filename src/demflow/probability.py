@@ -9,8 +9,8 @@ regime parameter r in [0, 1] shared by both phases.
 Every function takes phase k's volume fractions in the cells left and right
 of the interface, as scalars or same-shape arrays. convex_quad checks r on
 entry. As with the EOS formulas, the fractions are not checked here but
-where cells enter the program: the config, phase_primitives (the one check
-of a cells object) and maxwellian.
+where cells enter the program: the config and phase_primitives (the one
+check of a cells object).
 """
 
 from dataclasses import dataclass, field

@@ -16,8 +16,7 @@ import numpy as np
 
 from .eos import EosParams, _at_cell, _first_bad_index, internal_energy, sound_speed
 from .errors import InvalidStateError, _prefixed
-from .state import (MixtureCell, PhaseCellState, Primitive, _check_fraction,
-                    mixture_quantities, phase_primitives, prim_to_cons)
+from .state import MixtureCell, PhaseCellState, Primitive, phase_primitives, prim_to_cons
 
 
 @dataclass(frozen=True)
@@ -34,23 +33,15 @@ class ReducedEquilibrium:
 
 
 def maxwellian(red: ReducedEquilibrium, eos1: EosParams, eos2: EosParams) -> MixtureCell:
-    """Rebuild a full two-phase cell from reduced equilibrium variables."""
+    """Rebuild a full two-phase cell from reduced equilibrium variables.
+    prim_to_cons checks each phase's density and pressure; the fractions are
+    left to the returned cells object's one check, phase_primitives."""
     def phase(label, alpha, rho, eos):
         with _prefixed(f"phase {label}"):
-            _check_fraction(alpha)
             return PhaseCellState(alpha, prim_to_cons(Primitive(rho, red.u, red.p), eos))
 
     return MixtureCell(phase(1, red.alpha1, red.rho1, eos1),
                        phase(2, red.alpha2, red.rho2, eos2))
-
-
-def reduce_equilibrium(cell: MixtureCell, eos1: EosParams, eos2: EosParams) -> ReducedEquilibrium:
-    """Project a cell onto reduced variables (mass-weighted velocity,
-    volume-weighted pressure); inverse of maxwellian on equilibrium cells."""
-    v1, v2 = phase_primitives(cell, eos1, eos2)
-    _, u, p = mixture_quantities(cell, eos1, eos2)
-    return ReducedEquilibrium(alpha1=cell.phase1.alpha, rho1=v1.rho, u=u, p=p,
-                              alpha2=cell.phase2.alpha, rho2=v2.rho)
 
 
 def _phase_arrays(cell, eos1, eos2):
@@ -66,7 +57,7 @@ def _require_both_phases(a1, a2):
         bad = ~((a > 0.0) & (a < 1.0))
         if np.any(bad):
             raise InvalidStateError(
-                "relaxation requires both phases present (0 < alpha < 1): "
+                "both phases must be present (0 < alpha < 1): "
                 f"phase {label} has alpha = {a.flat[_first_bad_index(bad)]:.9g}" + _at_cell(bad))
 
 
@@ -116,7 +107,7 @@ def relax_continuous(cell: MixtureCell, eos1: EosParams, eos2: EosParams) -> Mix
         idx = _first_bad_index(bad)
         state = ", ".join(f"{f.flat[idx]:.9g}" for f in (a1, rho10, u1, p1, a2, rho20, u2, p2))
         raise InvalidStateError(
-            f"relaxation pressure quadratic has discriminant {disc.flat[idx]:.9g}"
+            f"pressure quadratic has discriminant {disc.flat[idx]:.9g}"
             f"{_at_cell(bad)}; (alpha1, rho1, u1, p1, alpha2, rho2, u2, p2) = ({state})")
     # the larger root, without cancellation between qb and sqrt(disc)
     q = -0.5 * (qb + np.where(qb < 0.0, -1.0, 1.0) * np.sqrt(disc))
@@ -136,9 +127,10 @@ def relax_projection(cell: MixtureCell, eos1: EosParams, eos2: EosParams) -> Mix
     c1sq, c2sq, d, m1, m2 = _acoustic_coefficients(a1, a2, rho1, p1, rho2, p2, eos1, eos2)
     bad = ~(np.isfinite(d) & (d > 0.0))
     if np.any(bad):
-        raise InvalidStateError("degenerate acoustic impedances in projection relaxation"
-                                + _at_cell(bad))
+        raise InvalidStateError("degenerate acoustic impedances "
+                                f"(d = {d.flat[_first_bad_index(bad)]:.9g}){_at_cell(bad)}")
     dp = p1 - p2
+    _check_validity_bound(a1, a2, dp, d)
     red = ReducedEquilibrium(
         alpha1=a1 + a1 * a2 * dp / d,
         rho1=rho1 - a2 * rho1 * dp / d,
@@ -147,20 +139,22 @@ def relax_projection(cell: MixtureCell, eos1: EosParams, eos2: EosParams) -> Mix
         alpha2=a2 - a1 * a2 * dp / d,
         rho2=rho2 + a1 * rho2 * dp / d,
     )
-    try:
-        return maxwellian(red, eos1, eos2)
-    except InvalidStateError as exc:
-        # the linearized densities rho1 (1 - a2 dp / d) and rho2 (1 + a1 dp / d)
-        # stay positive only while a2 (p1 - p2) / d < 1 and a1 (p2 - p1) / d < 1
-        for x, bound in ((a2 * dp / d, "a2 (p1 - p2) / d"), (a1 * -dp / d, "a1 (p2 - p1) / d")):
-            bad = ~(x < 1.0)
-            if np.any(bad):
-                i = _first_bad_index(bad)
-                raise InvalidStateError(
-                    f"projection relaxation outside its validity bound{_at_cell(bad)}: "
-                    f"p1 - p2 = {dp.flat[i]:.9g} Pa, {bound} = {x.flat[i]:.9g} >= 1 "
-                    f"({exc})") from None
-        raise InvalidStateError(f"projection relaxation: {exc}") from None
+    return maxwellian(red, eos1, eos2)
+
+
+def _check_validity_bound(a1, a2, dp, d):
+    """The projection scales rho1 and alpha1 by 1 -/+ a2 dp / d, rho2 and
+    alpha2 by 1 +/- a1 dp / d: all four stay positive iff max(a1, a2) |dp| < d
+    (NaN fails). Where not, raise naming the first such cell, its p1 - p2 and
+    the largest of the four ratios that must stay below 1."""
+    bad = ~(np.maximum(a1, a2) * np.abs(dp) < d)
+    if np.any(bad):
+        i = _first_bad_index(bad)
+        x1, x2 = (a.flat[i] * dp.flat[i] / d.flat[i] for a in (a2, a1))
+        ratio, name = max((x1, "a2 (p1 - p2) / d"), (-x1, "a2 (p2 - p1) / d"),
+                          (-x2, "a1 (p2 - p1) / d"), (x2, "a1 (p1 - p2) / d"))
+        raise InvalidStateError(f"outside its validity bound{_at_cell(bad)}: "
+                                f"p1 - p2 = {dp.flat[i]:.9g} Pa, {name} = {ratio:.9g} >= 1")
 
 
 def projection_matrix(cell: MixtureCell, eos1: EosParams, eos2: EosParams) -> np.ndarray:

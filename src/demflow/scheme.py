@@ -22,7 +22,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .eos import sound_speed
-from .errors import DemflowError, SolverError
+from .errors import DemflowError, SolverError, _prefixed
 from .probability import convex_quad
 from .regime import RegimeField, init_field, stochastic_update
 from .relaxation import relax_continuous, relax_projection
@@ -318,8 +318,9 @@ def run(config) -> list:
                     field = stochastic_update(field)
                 grid = hyperbolic_step(grid, field, dt, eos1, eos2)
                 if relaxer is not None:
-                    grid = replace(grid, state=cell_rows(relaxer(grid.cells, eos1, eos2)))
-                    validate_mixture(grid.cells, eos1, eos2, context="after relaxation")
+                    with _prefixed(f"{config.relaxation} relaxation"):
+                        grid = replace(grid, state=cell_rows(relaxer(grid.cells, eos1, eos2)))
+                        validate_mixture(grid.cells, eos1, eos2, context="after relaxation")
             except DemflowError as exc:
                 raise type(exc)(f"{exc} (at t = {t:.9e} s, step {steps})") from exc
             t = target if hit else t + dt

@@ -143,9 +143,13 @@ def compare_oracle(data: dict, meta: dict, spec: OracleSpec) -> dict:
     """Per-field L1 = sum |q - q_exact| dx, Linf, and relative L1
     (sum |q - q_exact| / sum |q_exact|)."""
     cfg = spec.config
-    t = float(meta["t"])
-    if t <= 0.0:
-        raise ConfigError("oracle comparison requires t > 0")
+    try:
+        t = float(meta.get("t", "nan"))
+    except ValueError:
+        t = float("nan")
+    if not (np.isfinite(t) and t > 0.0):
+        raise ConfigError("oracle comparison needs the snapshot header t to be a "
+                          f"finite time > 0, got {meta.get('t', 'no t line')!r}")
     x = np.asarray(data["x"], dtype=float)
     # the snapshot fixes the resolution; the oracle config must cover the
     # same domain (initial states, EOS and diaphragm come from the config)

@@ -505,6 +505,24 @@ def test_cli_compare_rejects_malformed_snapshot(tmp_path, capsys):
         assert f"{tag}.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("header, got", [
+    (None, "'no t line'"),
+    ("# t=abc", "'abc'"),
+    ("# t=nan", "'nan'"),
+], ids=["missing", "unparsable", "nan"])
+def test_cli_compare_rejects_a_bad_time_header(tmp_path, capsys, header, got):
+    good = tmp_path / "good.csv"
+    assert main(["preset", "t1_uniform_vf", "--override", "n_cells=8",
+                 "--override", "t_end=1e-6", "-o", str(good)]) == 0
+    lines = [line for line in good.read_text().splitlines() if not line.startswith("# t=")]
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines if header is None else [header, *lines]) + "\n")
+    capsys.readouterr()
+    assert main(["compare", str(bad), "phases:t1_uniform_vf"]) == 1
+    assert capsys.readouterr() == ("", "error: oracle comparison needs the snapshot header t "
+                                       f"to be a finite time > 0, got {got}\n")
+
+
 def test_write_snapshot_rows_match_savetxt(tmp_path, monkeypatch):
     # block-formatted rows are byte for byte what np.savetxt writes, across
     # block boundaries and for signed zeros, subnormals and extreme exponents

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
+from demflow import scheme
 from demflow.config import preset_config
 from demflow.eos import EosParams, internal_energy
 from demflow.errors import InvalidStateError
 from demflow.relaxation import (ReducedEquilibrium, kernel_range_vectors,
-                                maxwellian, projection_matrix, reduce_equilibrium,
+                                maxwellian, projection_matrix,
                                 reduced_jacobian, relax_continuous,
                                 relax_projection)
 from demflow.scheme import run
 from demflow.state import (Conserved, MixtureCell, PhaseCellState, Primitive,
-                           cons_to_prim, mixture_quantities, prim_to_cons)
+                           cons_to_prim, mixture_quantities, phase_primitives,
+                           prim_to_cons)
 
 GAS = EosParams(1.4, 0.0)
 LIQUID = EosParams(4.4, 6.0e8)
@@ -63,9 +65,10 @@ def test_maxwellian_reduce_round_trip():
     red = ReducedEquilibrium(alpha1=0.3, rho1=20.0, u=4.0, p=2e6,
                              alpha2=0.7, rho2=990.0)
     cell = maxwellian(red, GAS, LIQUID)
-    back = reduce_equilibrium(cell, GAS, LIQUID)
-    for f in ("alpha1", "rho1", "u", "p", "alpha2", "rho2"):
-        assert getattr(back, f) == pytest.approx(getattr(red, f), rel=1e-13)
+    v1, v2 = phase_primitives(cell, GAS, LIQUID)
+    back = (cell.phase1.alpha, v1.rho, v1.u, v1.p, cell.phase2.alpha, v2.rho, v2.u, v2.p)
+    assert back == pytest.approx((red.alpha1, red.rho1, red.u, red.p,
+                                  red.alpha2, red.rho2, red.u, red.p), rel=1e-13)
 
 
 def test_maxwellian_enforces_equilibrium_exactly():
@@ -77,11 +80,6 @@ def test_maxwellian_enforces_equilibrium_exactly():
     # alpha*rho of the rebuilt cell equals the reduced inputs
     assert cell.phase1.alpha * v1.rho == pytest.approx(0.4 * 15.0, rel=1e-14)
     assert cell.phase2.alpha * v2.rho == pytest.approx(0.6 * 1100.0, rel=1e-14)
-
-
-def test_maxwellian_rejects_bad_alpha():
-    with pytest.raises(InvalidStateError):
-        maxwellian(ReducedEquilibrium(1.2, 1.0, 0.0, 1e5, -0.2, 1000.0), GAS, LIQUID)
 
 
 # ------------------------------------------------------ continuous (A)
@@ -220,13 +218,18 @@ def test_relaxer_recovery_errors_name_phase_and_cell():
 
 
 def test_maxwellian_volume_fraction_errors_name_phase_and_cell():
+    # maxwellian builds fractions outside [0, 1] as given; the cells object's
+    # one check, phase_primitives, rejects them
     alpha1 = np.array([0.5, 0.5, 1.5])
     red = ReducedEquilibrium(alpha1=alpha1, rho1=np.full(3, 1.0), u=np.zeros(3),
                              p=np.full(3, 1e5), alpha2=1.0 - alpha1,
                              rho2=np.full(3, 1000.0))
     with pytest.raises(InvalidStateError,
                        match=r"^phase 1: volume fraction left \[0, 1\] at cell 2$"):
-        maxwellian(red, GAS, LIQUID)
+        phase_primitives(maxwellian(red, GAS, LIQUID), GAS, LIQUID)
+    scalar = maxwellian(ReducedEquilibrium(1.2, 1.0, 0.0, 1e5, -0.2, 1000.0), GAS, LIQUID)
+    with pytest.raises(InvalidStateError, match=r"^phase 1: volume fraction left \[0, 1\]$"):
+        phase_primitives(scalar, GAS, LIQUID)
 
 
 def test_maxwellian_errors_name_phase_and_cell():
@@ -251,11 +254,37 @@ def test_projection_failure_names_itself_and_its_validity_bound():
                                           "right_u2=20", "relaxation=projection",
                                           "n_cells=200"])
     with pytest.raises(InvalidStateError, match=(
-            r"^projection relaxation outside its validity bound at cell 99: "
+            r"^projection relaxation: outside its validity bound at cell 99: "
             r"p1 - p2 = [-+.e0-9]+ Pa, a2 \(p1 - p2\) / d = [-+.e0-9]+ >= 1 "
-            r"\(phase 1: non-positive or non-finite density at cell 99\) "
             r"\(at t = 0\.000000000e\+00 s, step 1\)$")):
         run(cfg)
+
+
+def test_projection_bound_names_the_largest_failing_ratio():
+    # liquid (phase 2) at -5e8 Pa against gas at 1e5 Pa: at alpha1 = 0.9 only
+    # the liquid fraction's factor 1 - a1 (p1 - p2) / d turns negative, at
+    # alpha1 = 0.1 the gas density's factor 1 - a2 (p1 - p2) / d turns the
+    # most negative
+    for alpha1, ratio in ((0.9, "a1"), (0.1, "a2")):
+        cell = make_cell(alpha1, Primitive(1.0, 0.0, 1e5), Primitive(1000.0, 0.0, -5e8))
+        with pytest.raises(InvalidStateError, match=(
+                rf"^outside its validity bound: p1 - p2 = 500100000 Pa, "
+                rf"{ratio} \(p1 - p2\) / d = [0-9.]+ >= 1$")):
+            relax_projection(cell, GAS, LIQUID)
+
+
+@pytest.mark.parametrize("relaxation", ["continuous", "projection"])
+def test_run_names_the_relaxer_of_a_relaxation_error_once(monkeypatch, relaxation):
+    def failing(cells, eos1, eos2):
+        raise InvalidStateError("phase 2: pressure below its limit at cell 3")
+
+    monkeypatch.setitem(scheme._RELAXERS, relaxation, failing)
+    cfg = preset_config("t1_uniform_vf", ["n_cells=20", f"relaxation={relaxation}"])
+    with pytest.raises(InvalidStateError) as info:
+        run(cfg)
+    assert str(info.value) == (f"{relaxation} relaxation: phase 2: pressure below its limit "
+                               "at cell 3 (at t = 0.000000000e+00 s, step 1)")
+    assert str(info.value).count("relaxation") == 1
 
 
 def test_relax_projection_fixed_point():

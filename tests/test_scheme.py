@@ -11,8 +11,8 @@ from demflow.eos import EosParams
 from demflow.errors import InvalidStateError, SolverError
 from demflow.probability import convex_quad
 from demflow.regime import ConstantRegime, init_field
-from demflow.relaxation import (kernel_range_vectors, projection_matrix, reduce_equilibrium,
-                                relax_continuous, relax_projection)
+from demflow.relaxation import (kernel_range_vectors, projection_matrix, relax_continuous,
+                                relax_projection)
 from demflow.riemann import hllc, thermo_state
 from demflow.scheme import (Grid1D, boundary_lagrangian, cfl_dt, hyperbolic_step,
                             initial_grid, interface_fluxes, ensemble_flux, run,
@@ -820,12 +820,13 @@ def test_run_recovers_each_state_once(monkeypatch, name, overrides, per_step):
 
 @pytest.mark.parametrize("overrides, per_step", [
     (["n_cells=100"], 2),
-    (["n_cells=100", "relaxation=continuous"], 6),
+    (["n_cells=100", "relaxation=continuous"], 4),
 ], ids=["t1_no_relaxation", "t1_continuous_relaxation"])
 def test_run_checks_each_state_once(monkeypatch, overrides, per_step):
     # phase_primitives checks both phases' fractions once per cells object:
-    # one object per step, two with relaxation, whose maxwellian also checks
-    # the relaxed fractions as it builds them; the initial grid adds two
+    # one object per step, two with relaxation (maxwellian builds the relaxed
+    # fractions unchecked, and run's validation checks them); the initial
+    # grid adds two
     original = state._check_fraction
     counts = {"checks": 0, "steps": 0}
 
@@ -864,13 +865,12 @@ def unsaturated_grid():
     lambda g: interface_fluxes(g, constant_field(g, 0.5), GAS, LIQUID),
     lambda g: relax_continuous(g.cells, GAS, LIQUID),
     lambda g: relax_projection(g.cells, GAS, LIQUID),
-    lambda g: reduce_equilibrium(g.cells, GAS, LIQUID),
     lambda g: projection_matrix(g.cells, GAS, LIQUID),
     lambda g: kernel_range_vectors(g.cells, GAS, LIQUID),
     lambda g: mixture_quantities(g.cells, GAS, LIQUID),
     lambda g: snapshot_table(g, np.zeros(g.n_cells + 1), GAS, LIQUID),
 ], ids=["cfl_dt", "hyperbolic_step", "interface_fluxes", "relax_continuous",
-        "relax_projection", "reduce_equilibrium", "projection_matrix",
+        "relax_projection", "projection_matrix",
         "kernel_range_vectors", "mixture_quantities", "snapshot_table"])
 def test_every_reader_rejects_an_unsaturated_grid(read):
     # each reader gets its primitives from phase_primitives, which checks
