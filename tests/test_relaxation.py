@@ -82,6 +82,13 @@ def test_maxwellian_enforces_equilibrium_exactly():
     assert cell.phase2.alpha * v2.rho == pytest.approx(0.6 * 1100.0, rel=1e-14)
 
 
+def test_maxwellian_rejects_bad_alpha():
+    # maxwellian builds the fractions as given; phase_primitives rejects them
+    cell = maxwellian(ReducedEquilibrium(1.2, 1.0, 0.0, 1e5, -0.2, 1000.0), GAS, LIQUID)
+    with pytest.raises(InvalidStateError, match=r"^phase 1: volume fraction left \[0, 1\]$"):
+        phase_primitives(cell, GAS, LIQUID)
+
+
 # ------------------------------------------------------ continuous (A)
 
 def test_relax_continuous_fixed_point():
@@ -227,9 +234,6 @@ def test_maxwellian_volume_fraction_errors_name_phase_and_cell():
     with pytest.raises(InvalidStateError,
                        match=r"^phase 1: volume fraction left \[0, 1\] at cell 2$"):
         phase_primitives(maxwellian(red, GAS, LIQUID), GAS, LIQUID)
-    scalar = maxwellian(ReducedEquilibrium(1.2, 1.0, 0.0, 1e5, -0.2, 1000.0), GAS, LIQUID)
-    with pytest.raises(InvalidStateError, match=r"^phase 1: volume fraction left \[0, 1\]$"):
-        phase_primitives(scalar, GAS, LIQUID)
 
 
 def test_maxwellian_errors_name_phase_and_cell():
