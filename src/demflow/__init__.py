@@ -6,7 +6,7 @@ pressure/velocity relaxation procedures."""
 from .config import PRESETS, RunConfig, parse_config, preset_config
 from .eos import EosParams, de_dp, de_drho, internal_energy, pressure_from_energy, sound_speed
 from .errors import ConfigError, DemflowError, InvalidStateError, SolverError
-from .probability import ProbabilityQuad, check_consistency, convex_quad, extract_r
+from .probability import check_consistency, convex_quad, extract_r
 from .regime import (ConstantRegime, PiecewiseRegime, RegimeField,
                      StochasticRegime, UniformRandomRegime, init_field,
                      stochastic_update)

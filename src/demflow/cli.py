@@ -162,18 +162,22 @@ def _cmd_sweep(args):
     values = _float_list(args.values, "--values")
     if not values:
         raise ConfigError("sweep-r needs at least one value")
-    # one file per value, named by its 6 significant digits ({:g}); values
-    # that share a name are rejected before any member runs
+    # one file per value, named by its 6 significant digits ({:g}); a value
+    # outside [0, 1] and values that share a name are rejected before any
+    # member runs
     members = {}
     for value in values:
         path = base.with_name(f"{base.stem}_r{value:g}{base.suffix or '.csv'}")
         if path in members:
-            raise ConfigError(f"--values {members[path]!r} and {value!r} both write {path}")
-        members[path] = value
-    for path, value in members.items():
-        cfg = replace(config, regime_policy=ConstantRegime(value))
+            raise ConfigError(f"--values {members[path].value!r} and {value!r} both write {path}")
+        try:
+            members[path] = ConstantRegime(value)
+        except ConfigError as exc:
+            raise ConfigError(str(exc), where=f"--values {value!r}") from None
+    for path, policy in members.items():
+        cfg = replace(config, regime_policy=policy)
         _write_all(cfg, run(cfg)[-1:], path)
-        print(f"wrote {path} (r = {value:g})")
+        print(f"wrote {path} (r = {policy.value:g})")
     return 0
 
 

@@ -59,14 +59,6 @@ class RiemannFan:
     s_right: float | np.ndarray
 
 
-def _gather(x, at):
-    """x's values at the index `at` (one int or array per axis) of the shape
-    x broadcasts to: its axes align from the last, and an axis of length 1
-    is read at 0."""
-    x = np.asarray(x)
-    return x[tuple(i if n > 1 else 0 for i, n in zip(at[len(at) - x.ndim:], x.shape))]
-
-
 def _failure_site(bad, left, right, first):
     """' at interface i, pairing kl: left (rho, u, p) = (...), right (...)'
     for the lowest interface (the last axis, counted from `first`) where
@@ -78,7 +70,8 @@ def _failure_site(bad, left, right, first):
         where = f" at interface {first + i}"
         if np.shape(bad)[:-1] == (2, 2):
             where += f", pairing {pair[0] + 1}{pair[1] + 1}"
-    sides = (f"{name} (rho, u, p) = (" + ", ".join(f"{_gather(x, at):.9g}" for x in v[:3]) + ")"
+    sides = (f"{name} (rho, u, p) = ("
+             + ", ".join(f"{np.broadcast_to(x, np.shape(bad))[at]:.9g}" for x in v[:3]) + ")"
              for name, v in (("left", left), ("right", right)))
     return f"{where}: " + ", ".join(sides)
 
@@ -149,9 +142,11 @@ def hllc(left: ThermoState, right: ThermoState, weight=None, first=0) -> Riemann
     # flux F, evaluated at those interfaces only
     beyond = np.flatnonzero((s_l >= 0.0) | (s_r < 0.0))
     if beyond.size:
-        at = np.unravel_index(beyond, np.shape(sigma) or (1,))
-        from_left = _gather(s_l, at) >= 0.0
-        side = ThermoState(*(np.where(from_left, _gather(x, at), _gather(y, at))
+        shape = np.shape(sigma) or (1,)
+        at = np.unravel_index(beyond, shape)
+        from_left = np.broadcast_to(s_l, shape)[at] >= 0.0
+        side = ThermoState(*(np.where(from_left, np.broadcast_to(x, shape)[at],
+                                      np.broadcast_to(y, shape)[at])
                              for x, y in zip(left, right)))
         flux0.reshape(3, -1)[:, beyond] = side.F.reshape(3, -1)
     if outside is not None:

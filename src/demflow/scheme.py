@@ -82,11 +82,11 @@ class Grid1D:
 class InterfaceFluxSet:
     """Everything a run of m interfaces contributes: the fan of all four
     phase pairings, leaves of shape (2, 2, m) with pairing (k, l) at [k, l]
-    (left phase k, right phase l, phase 1 first); `weight` (2, 2, m), the
-    probability of each pairing; and the cross-pair switches `on` (2, m):
-    on[0] is 1.0 where the 12 fan's contact speed is >= 0 (its sampled
-    Godunov state belongs to phase 1), else 0.0, and on[1] likewise for the
-    21 fan (phase 2)."""
+    (left phase k, right phase l, phase 1 first); `weight`, convex_quad's
+    (2, 2, m) matrix P, the probability of each pairing with phase 1 as k;
+    and the cross-pair switches `on` (2, m): on[0] is 1.0 where the 12 fan's
+    contact speed is >= 0 (its sampled Godunov state belongs to phase 1),
+    else 0.0, and on[1] likewise for the 21 fan (phase 2)."""
 
     fan: RiemannFan
     weight: np.ndarray
@@ -118,15 +118,6 @@ def _block_cells(rows, lo, hi):
     return [x.take(cells, mode="clip") for x in rows]
 
 
-def _pairing_weights(alpha1, r):
-    """The probability of each phase pairing (k, l) at the m - 1 interfaces
-    between m cells with phase-1 fractions alpha1, shape (2, 2, m - 1). A
-    function of its own so that the quad's four arrays are freed before the
-    fans are solved (the step's memory peak)."""
-    q = convex_quad(alpha1[:-1], alpha1[1:], r)
-    return np.array([[q.p_kk, q.p_kl], [q.p_lk, q.p_ll]])
-
-
 def _interface_block(cells, r, eos1, eos2, first=0) -> InterfaceFluxSet:
     """Interface data between m consecutive cells (_block_cells' rows) at
     their m - 1 interfaces, r one value per interface, the first interface
@@ -137,7 +128,7 @@ def _interface_block(cells, r, eos1, eos2, first=0) -> InterfaceFluxSet:
     and pi_inf, so they broadcast); one hllc call solves the four pairings
     from left views (2, 1, m - 1) and right views (1, 2, m - 1)."""
     rho1, rho2, u1, u2, p1, p2, alpha1 = cells
-    weight = _pairing_weights(alpha1, r)
+    weight = convex_quad(alpha1[:-1], alpha1[1:], r)
     eos = SimpleNamespace(gamma=np.array([[eos1.gamma], [eos2.gamma]]),
                           pi_inf=np.array([[eos1.pi_inf], [eos2.pi_inf]]))
     rec = thermo_state(Primitive(np.array((rho1, rho2)), np.array((u1, u2)),

@@ -174,9 +174,7 @@ def test_criterion_5_probability_algebra():
     round_trip = float(np.max(np.abs(back[clear] - r[clear])))
 
     bl, br = 1.0 - al, 1.0 - ar
-    quad_l = type(quad)(p_kk=quad.p_ll, p_kl=quad.p_lk, p_lk=quad.p_kl,
-                        p_ll=quad.p_kk, r=quad.r)
-    r_l = extract_r(quad_l, bl, br)
+    r_l = extract_r(quad[::-1, ::-1], bl, br)
     lo_l = np.maximum(bl - br, 0.0)
     hi_l = np.minimum(bl, 1.0 - br)
     both = clear & (hi_l - lo_l > 1e-3)

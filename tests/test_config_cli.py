@@ -469,6 +469,17 @@ def test_cli_sweep_r_rejects_unparsable_value(tmp_path, capsys):
     assert not list(tmp_path.glob("sweep*"))
 
 
+def test_cli_sweep_r_rejects_value_outside_unit_range_before_running(tmp_path, capsys):
+    # the valid value listed first must not run either
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(MINIMAL)
+    assert main(["sweep-r", str(cfg_path), "--values", "0.5,1.5",
+                 "-o", str(tmp_path / "sw.csv")]) == 1
+    assert capsys.readouterr().err == (
+        "error: --values 1.5: regime value 1.5 outside [0, 1]\n")
+    assert not list(tmp_path.glob("sw*"))
+
+
 def test_cli_riemann_rejects_unparsable_sample(capsys):
     assert main(["riemann", "1,0,1", "0.125,0,0.1", "--sample", "0,x"]) == 1
     out, err = capsys.readouterr()

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from demflow.errors import InvalidStateError
-from demflow.probability import (ProbabilityQuad, check_consistency,
-                                 convex_quad, extract_r)
+from demflow.probability import check_consistency, convex_quad, extract_r
 
 
 def random_triples(n, seed=0):
@@ -24,38 +23,38 @@ def disperse(al, ar):
 
 
 def test_stratified_quad_hand_values():
-    q = convex_quad(0.5, 0.5, 0.0)
-    assert (q.p_kk, q.p_kl) == (0.5, 0.0)
-    q = convex_quad(0.7, 0.4, 0.0)
-    assert q.p_kk == pytest.approx(0.4) and q.p_kl == pytest.approx(0.3)
-    q = convex_quad(0.3, 0.9, 0.0)
-    assert q.p_kk == pytest.approx(0.3) and q.p_kl == 0.0
+    P = convex_quad(0.5, 0.5, 0.0)
+    assert (P[0, 0], P[0, 1]) == (0.5, 0.0)
+    P = convex_quad(0.7, 0.4, 0.0)
+    assert P[0, 0] == pytest.approx(0.4) and P[0, 1] == pytest.approx(0.3)
+    P = convex_quad(0.3, 0.9, 0.0)
+    assert P[0, 0] == pytest.approx(0.3) and P[0, 1] == 0.0
 
 
 def test_disperse_quad_hand_values():
-    q = convex_quad(0.5, 0.5, 1.0)
-    assert (q.p_kk, q.p_kl) == (0.0, 0.5)
-    q = convex_quad(0.7, 0.4, 1.0)
-    assert q.p_kk == pytest.approx(0.1) and q.p_kl == pytest.approx(0.6)
+    P = convex_quad(0.5, 0.5, 1.0)
+    assert (P[0, 0], P[0, 1]) == (0.0, 0.5)
+    P = convex_quad(0.7, 0.4, 1.0)
+    assert P[0, 0] == pytest.approx(0.1) and P[0, 1] == pytest.approx(0.6)
     # pure-phase corner
-    q = convex_quad(1.0, 1.0, 1.0)
-    assert (q.p_kk, q.p_kl) == (1.0, 0.0)
+    P = convex_quad(1.0, 1.0, 1.0)
+    assert (P[0, 0], P[0, 1]) == (1.0, 0.0)
 
 
 def test_convex_quad_hand_value():
-    q = convex_quad(0.7, 0.4, 0.5)
-    assert q.p_kk == pytest.approx(0.25, abs=1e-15)
-    assert q.p_kl == pytest.approx(0.45, abs=1e-15)
+    P = convex_quad(0.7, 0.4, 0.5)
+    assert P[0, 0] == pytest.approx(0.25, abs=1e-15)
+    assert P[0, 1] == pytest.approx(0.45, abs=1e-15)
 
 
 def test_convex_quad_reproduces_extremal_pairs():
     al, ar, _ = random_triples(1000, seed=5)
-    q0 = convex_quad(al, ar, 0.0)
+    P0 = convex_quad(al, ar, 0.0)
     s_kk, s_kl = stratified(al, ar)
-    assert np.array_equal(q0.p_kk, s_kk) and np.array_equal(q0.p_kl, s_kl)
-    q1 = convex_quad(al, ar, 1.0)
+    assert np.array_equal(P0[0, 0], s_kk) and np.array_equal(P0[0, 1], s_kl)
+    P1 = convex_quad(al, ar, 1.0)
     d_kk, d_kl = disperse(al, ar)
-    assert np.array_equal(q1.p_kk, d_kk) and np.array_equal(q1.p_kl, d_kl)
+    assert np.array_equal(P1[0, 0], d_kk) and np.array_equal(P1[0, 1], d_kl)
 
 
 def test_convex_quad_rejects_bad_r():
@@ -66,42 +65,52 @@ def test_convex_quad_rejects_bad_r():
         convex_quad(0.5, 0.5, good)
 
 
+@pytest.mark.parametrize("alphas, r, shape", [
+    ((0.7, 0.4), 0.5, (2, 2)),
+    ((np.full(5, 0.7), np.full(5, 0.4)), 0.5, (2, 2, 5)),
+    ((0.5, 0.5), [0.0, 0.5, 1.0], (2, 2, 3)),
+    ((0.5, 0.5), np.empty(0), (2, 2, 0)),
+])
+def test_convex_quad_shape(alphas, r, shape):
+    # the fractions broadcast against r
+    assert convex_quad(*alphas, r).shape == shape
+
+
 @pytest.mark.parametrize("r", [0.0, 0.25, 0.8, 1.0])
 def test_nearly_pure_cells_algebra(r):
     # both cells nearly pure in phase k: the quad reduces to
     # (1-(1+r)eps, r*eps, r*eps, (1-r)*eps)
     eps = 1e-3
-    q = convex_quad(1.0 - eps, 1.0 - eps, r)
-    assert q.p_kk == pytest.approx(1.0 - (1.0 + r) * eps, abs=1e-14)
-    assert q.p_kl == pytest.approx(r * eps, abs=1e-14)
-    assert q.p_lk == pytest.approx(r * eps, abs=1e-14)
-    assert q.p_ll == pytest.approx((1.0 - r) * eps, abs=1e-14)
+    P = convex_quad(1.0 - eps, 1.0 - eps, r)
+    assert P[0, 0] == pytest.approx(1.0 - (1.0 + r) * eps, abs=1e-14)
+    assert P[0, 1] == pytest.approx(r * eps, abs=1e-14)
+    assert P[1, 0] == pytest.approx(r * eps, abs=1e-14)
+    assert P[1, 1] == pytest.approx((1.0 - r) * eps, abs=1e-14)
 
 
 @pytest.mark.parametrize("r", [0.0, 0.3, 1.0])
 def test_material_interface_algebra(r):
     # interface cells: alpha jumps 1-eps -> eps, so crossing dominates
     eps = 1e-3
-    q = convex_quad(1.0 - eps, eps, r)
-    assert q.p_kl == pytest.approx(1.0 - (2.0 - r) * eps, abs=1e-14)
-    assert q.p_kk == pytest.approx((1.0 - r) * eps, abs=1e-14)
-    assert q.p_ll == pytest.approx((1.0 - r) * eps, abs=1e-14)
-    assert q.p_lk == pytest.approx(r * eps, abs=1e-14)
+    P = convex_quad(1.0 - eps, eps, r)
+    assert P[0, 1] == pytest.approx(1.0 - (2.0 - r) * eps, abs=1e-14)
+    assert P[0, 0] == pytest.approx((1.0 - r) * eps, abs=1e-14)
+    assert P[1, 1] == pytest.approx((1.0 - r) * eps, abs=1e-14)
+    assert P[1, 0] == pytest.approx(r * eps, abs=1e-14)
 
 
 def test_affinity_in_r_exact():
     al, ar, r = random_triples(10_000, seed=1)
-    q = convex_quad(al, ar, r)
-    q0 = convex_quad(al, ar, 0.0)
-    q1 = convex_quad(al, ar, 1.0)
-    for f in ("p_kk", "p_kl", "p_lk", "p_ll"):
-        mixed = r * getattr(q1, f) + (1.0 - r) * getattr(q0, f)
-        assert np.array_equal(np.asarray(getattr(q, f)), mixed)
+    P = convex_quad(al, ar, r)
+    P0 = convex_quad(al, ar, 0.0)
+    P1 = convex_quad(al, ar, 1.0)
+    for ab in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        assert np.array_equal(P[ab], r * P1[ab] + (1.0 - r) * P0[ab])
 
 
 def test_extract_r_round_trip():
-    q = convex_quad(0.7, 0.4, 0.37)
-    assert extract_r(q, 0.7, 0.4) == pytest.approx(0.37, abs=1e-12)
+    P = convex_quad(0.7, 0.4, 0.37)
+    assert extract_r(P, 0.7, 0.4) == pytest.approx(0.37, abs=1e-12)
     al, ar, r = random_triples(100_000, seed=2)
     back = extract_r(convex_quad(al, ar, r), al, ar)
     lo = np.maximum(al - ar, 0.0)
@@ -118,18 +127,17 @@ def test_extract_r_round_trip():
 
 def test_extract_r_degenerate_returns_zero():
     # pure phase on one side makes the admissible interval collapse
-    q = convex_quad(1.0, 1.0, 0.8)
-    assert extract_r(q, 1.0, 1.0) == 0.0
+    P = convex_quad(1.0, 1.0, 0.8)
+    assert extract_r(P, 1.0, 1.0) == 0.0
 
 
 def test_extract_r_phase_symmetric():
     al, ar, r = random_triples(100_000, seed=3)
-    q = convex_quad(al, ar, r)
+    P = convex_quad(al, ar, r)
     # same r seen from phase l: swap roles via the complementary fractions
     bl, br = 1.0 - al, 1.0 - ar
-    q_l = ProbabilityQuad(p_kk=q.p_ll, p_kl=q.p_lk, p_lk=q.p_kl, p_ll=q.p_kk, r=q.r)
-    r_k = extract_r(q, al, ar)
-    r_l = extract_r(q_l, bl, br)
+    r_k = extract_r(P, al, ar)
+    r_l = extract_r(P[::-1, ::-1], bl, br)
     lo_k = np.maximum(al - ar, 0.0)
     hi_k = np.minimum(al, 1.0 - ar)
     lo_l = np.maximum(bl - br, 0.0)
@@ -149,11 +157,21 @@ def test_check_consistency_clean_on_random_quads():
 
 
 def test_check_consistency_flags_corruption():
-    q = convex_quad(0.7, 0.4, 0.5)
-    bad = ProbabilityQuad(p_kk=q.p_kk + 0.1, p_kl=q.p_kl, p_lk=q.p_lk, p_ll=q.p_ll, r=q.r)
+    bad = convex_quad(0.7, 0.4, 0.5)
+    bad[0, 0] += 0.1
     report = check_consistency(bad, 0.7, 0.4)
     assert not report.ok
     assert "marginal_left_k" in report.violations()
+
+
+@pytest.mark.parametrize("r, keys", [(1.2, {"lower_same", "upper_cross"}),
+                                     (-0.2, {"upper_same", "lower_cross"})])
+def test_check_consistency_flags_r_outside_unit_range(r, keys):
+    # convex_quad rejects such an r; a quad extrapolated to it by hand
+    # breaks the sandwich bounds
+    al, ar = 0.7, 0.4
+    P = r * convex_quad(al, ar, 1.0) + (1.0 - r) * convex_quad(al, ar, 0.0)
+    assert keys <= check_consistency(P, al, ar).violations().keys()
 
 
 def test_minmax_identity_on_extreme_floats():

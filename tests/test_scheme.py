@@ -124,9 +124,8 @@ def reference_step(grid, r_values, dt, eos1=GAS, eos2=LIQUID):
             for kr in (1, 2):
                 fan[kl, kr] = hllc(thermo_state(prim(kl, il), eos[kl]),
                                    thermo_state(prim(kr, ir), eos[kr]))
-        quad = convex_quad(val(a[1], il), val(a[1], ir), r_values[j])
-        prob = {(1, 1): float(quad.p_kk), (1, 2): float(quad.p_kl),
-                (2, 1): float(quad.p_lk), (2, 2): float(quad.p_ll)}
+        P = convex_quad(val(a[1], il), val(a[1], ir), r_values[j])
+        prob = {(kl, kr): float(P[kl - 1, kr - 1]) for kl in (1, 2) for kr in (1, 2)}
         b = {(kl, kr): (1.0 if fan[kl, kr].sigma >= 0.0 else -1.0)
              for kl in (1, 2) for kr in (1, 2)}
         for k in (1, 2):
@@ -686,7 +685,7 @@ def test_outer_interfaces_solve_edge_cell_against_itself():
             assert np.array_equal(flux0[:, face], hllc(edge, edge).flux0)
     a1 = np.asarray(grid.cells.phase1.alpha)
     assert np.array_equal(ifs.weight[0, 0, [0, -1]],
-                          convex_quad(a1[[0, -1]], a1[[0, -1]], 0.3).p_kk)
+                          convex_quad(a1[[0, -1]], a1[[0, -1]], 0.3)[0, 0])
 
 
 def test_ensemble_flux_reduces_to_alpha_weighted_godunov_at_r0():
