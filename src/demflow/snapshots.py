@@ -2,9 +2,12 @@
 
 A snapshot is '# key=value' header lines followed by one comma-separated row
 per cell, every float printed with 17 significant digits so re-reading is
-bit-exact. compare_oracle measures discrete L1 and Linf distances between a
-snapshot and the appropriate exact Riemann solution, sampling the latter as
-cell averages (finite-volume cells hold averages, not point values).
+bit-exact. The writer converts each distinct value of a block of rows once
+and reuses its text; the output is still byte for byte what
+np.savetxt(fmt="%.17g", delimiter=",") writes. compare_oracle measures
+discrete L1 and Linf distances between a snapshot and the appropriate exact
+Riemann solution, sampling the latter as cell averages (finite-volume cells
+hold averages, not point values).
 """
 
 import warnings
@@ -26,9 +29,8 @@ SNAPSHOT_COLUMNS = (
 # midpoint sub-samples per cell when averaging the exact solution
 ORACLE_SUBSAMPLES = 9
 
-# one table row as written; rows go out in blocks of _WRITE_BLOCK, which only
-# bounds the text held in memory at once
-_ROW_FORMAT = ",".join(["%.17g"] * len(SNAPSHOT_COLUMNS)) + "\n"
+# rows go out in blocks of _WRITE_BLOCK, which bounds the rows and text held
+# in memory at once
 _WRITE_BLOCK = 4096
 
 
@@ -52,25 +54,51 @@ def snapshot_meta(config: RunConfig, t: float) -> dict:
     }
 
 
-def snapshot_table(grid, regime_values, eos1, eos2) -> np.ndarray:
-    """Assemble the 12 snapshot columns, shape (n_cells, 12)."""
+def snapshot_columns(grid, regime_values, eos1, eos2) -> list:
+    """The 12 snapshot columns, each a float array of n_cells."""
     cells = grid.cells
     v1, v2 = phase_primitives(cells, eos1, eos2)
     columns = (grid.cell_centers(), cells.phase1.alpha, v1.rho, v1.u, v1.p, v2.rho, v2.u, v2.p,
                *mixture_quantities(cells, eos1, eos2), np.asarray(regime_values)[:-1])
-    return np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    return [np.asarray(c, dtype=float) for c in columns]
 
 
 def write_snapshot(path, grid, t, regime_values, meta: dict, eos1, eos2):
-    """Write one snapshot; meta rows come first as '# key=value' lines."""
-    table = snapshot_table(grid, regime_values, eos1, eos2)
+    """Write one snapshot; meta rows come first as '# key=value' lines. Rows
+    are stacked one block at a time, so no whole (n_cells, 12) table is held."""
+    columns = snapshot_columns(grid, regime_values, eos1, eos2)
     with open(path, "w", encoding="utf-8") as handle:
         for key, value in meta.items():
             handle.write(f"# {key}={value}\n")
         handle.write(",".join(SNAPSHOT_COLUMNS) + "\n")
-        for start in range(0, len(table), _WRITE_BLOCK):
-            block = table[start:start + _WRITE_BLOCK]
-            handle.write((_ROW_FORMAT * len(block)) % tuple(block.ravel().tolist()))
+        for start in range(0, len(columns[0]), _WRITE_BLOCK):
+            block = np.column_stack([c[start:start + _WRITE_BLOCK] for c in columns])
+            handle.write(_block_text(block))
+
+
+def _block_text(block):
+    """The rows of a block as text, each distinct value converted once.
+
+    Values are keyed by bit pattern, so -0.0 and 0.0 keep their own text. The
+    last column ends its row with a newline, not a comma, so it has its own
+    keys.
+    """
+    rows, last = block.shape[0], block.shape[1] - 1
+    bits = block.view(np.uint64)
+    keys, inverse = np.unique(bits[:, :last], return_inverse=True)
+    last_keys, last_inverse = np.unique(bits[:, last], return_inverse=True)
+    cells = np.empty(block.shape, dtype=object)
+    # the inverse of a 2-D input is flat or 2-D depending on the numpy version
+    cells[:, :last] = _texts(keys, ",")[inverse.reshape(rows, last)]
+    cells[:, last] = _texts(last_keys, "\n")[last_inverse.reshape(rows)]
+    return "".join(cells.ravel().tolist())
+
+
+def _texts(keys, end):
+    """Each float bit pattern of `keys` as '%.17g' text followed by `end`, in
+    an object array that indexes like `keys`."""
+    values = tuple(keys.view(np.float64).tolist())
+    return np.array(((f"%.17g{end}\0" * len(values)) % values).split("\0")[:-1], dtype=object)
 
 
 def read_snapshot(path):

@@ -16,7 +16,7 @@ from demflow.relaxation import (kernel_range_vectors, projection_matrix,
                                 relax_projection)
 from demflow.scheme import (Grid1D, cfl_dt, hyperbolic_step, initial_grid,
                             interface_fluxes, ensemble_flux, run)
-from demflow.snapshots import OracleSpec, compare_oracle, snapshot_table, SNAPSHOT_COLUMNS
+from demflow.snapshots import OracleSpec, compare_oracle, snapshot_columns, SNAPSHOT_COLUMNS
 from demflow.state import (MixtureCell, PhaseCellState, Primitive, cell_rows,
                            cons_to_prim, prim_to_cons)
 
@@ -29,8 +29,8 @@ def report(ok, label, detail):
 
 
 def snapshot_data(snap, cfg):
-    table = snapshot_table(snap.grid, snap.regime_values, cfg.eos1, cfg.eos2)
-    return {name: table[:, j] for j, name in enumerate(SNAPSHOT_COLUMNS)}
+    columns = snapshot_columns(snap.grid, snap.regime_values, cfg.eos1, cfg.eos2)
+    return dict(zip(SNAPSHOT_COLUMNS, columns))
 
 
 def oracle_report(snap, cfg, mode):

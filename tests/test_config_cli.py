@@ -14,7 +14,7 @@ from demflow.regime import ConstantRegime, PiecewiseRegime, StochasticRegime
 from demflow.scheme import run
 from demflow.snapshots import (SNAPSHOT_COLUMNS, compare_oracle,
                                oracle_from_string, read_snapshot, snapshot_meta,
-                               snapshot_table, write_snapshot)
+                               snapshot_columns, write_snapshot)
 
 MINIMAL = """
 # two-chamber tube
@@ -264,7 +264,7 @@ def test_run_wraps_errors_with_time_context(monkeypatch):
 def test_snapshot_round_trip_is_bit_exact(tmp_path):
     cfg = small_run_config()
     snap = run(cfg)[-1]
-    table = snapshot_table(snap.grid, snap.regime_values, cfg.eos1, cfg.eos2)
+    columns = snapshot_columns(snap.grid, snap.regime_values, cfg.eos1, cfg.eos2)
     path = tmp_path / "snap.csv"
     write_snapshot(path, snap.grid, snap.t, snap.regime_values,
                    snapshot_meta(cfg, snap.t), cfg.eos1, cfg.eos2)
@@ -274,7 +274,7 @@ def test_snapshot_round_trip_is_bit_exact(tmp_path):
     assert meta["rng"] == "numpy-pcg64"
     assert len(data) == 12
     for j, name in enumerate(SNAPSHOT_COLUMNS):
-        assert np.array_equal(data[name], table[:, j]), name
+        assert np.array_equal(data[name], columns[j]), name
 
 
 def test_uniform_grid_gives_constant_columns():
@@ -282,9 +282,9 @@ def test_uniform_grid_gives_constant_columns():
     uniform = uniform.replace("left_p2 = 1e6", "left_p2 = 1e5")
     cfg = parse_config(uniform)
     snap = run(cfg)[-1]
-    table = snapshot_table(snap.grid, snap.regime_values, cfg.eos1, cfg.eos2)
-    for j in range(1, table.shape[1]):  # every column except x
-        assert np.ptp(table[:, j]) == 0.0
+    columns = snapshot_columns(snap.grid, snap.regime_values, cfg.eos1, cfg.eos2)
+    for column in columns[1:]:  # every column except x
+        assert np.ptp(column) == 0.0
 
 
 def test_run_determinism_bitwise(tmp_path):
@@ -460,6 +460,17 @@ def test_cli_sweep_r_rejects_values_sharing_a_file_name(tmp_path, capsys):
     assert not list(tmp_path.glob("sw*"))
 
 
+def test_cli_sweep_r_rejects_signed_zeros_sharing_a_file_name(tmp_path, capsys):
+    # -0 is the same regime as 0: it names the same file, so nothing runs
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(MINIMAL)
+    out = tmp_path / "sw.csv"
+    assert main(["sweep-r", str(cfg_path), "--values", "0,-0", "-o", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: --values 0.0 and -0.0 both write "
+                                       f"{tmp_path / 'sw_r0.csv'}\n")
+    assert not list(tmp_path.glob("sw*"))
+
+
 def test_cli_sweep_r_rejects_unparsable_value(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(MINIMAL)
@@ -542,13 +553,39 @@ def test_write_snapshot_rows_match_savetxt(tmp_path, monkeypatch):
     table = rng.standard_normal((rows, len(SNAPSHOT_COLUMNS))) * 10.0 ** rng.integers(
         -300, 300, (rows, len(SNAPSHOT_COLUMNS)))
     table[0, :4] = (-0.0, 0.0, 5e-324, -1.7976931348623157e308)
-    monkeypatch.setattr(snapshots, "snapshot_table", lambda *args: table)
+    _assert_written_as_savetxt(table, tmp_path, monkeypatch)
+
+
+def test_write_snapshot_repeated_values_match_savetxt(tmp_path, monkeypatch):
+    # each distinct value of a block is converted once and its text reused:
+    # signed zeros must keep their own text, a value that ends one row and
+    # sits inside another must get the right separator each time, and equal
+    # runs across block boundaries and a one-value block must not leak texts
+    block = snapshots._WRITE_BLOCK
+    rng = np.random.default_rng(7)
+    pool = np.array([-0.0, 0.0, 0.1, 1.0 / 3.0, -2.5e-310, 1e300])
+    table = rng.choice(pool, (2 * block + 5, len(SNAPSHOT_COLUMNS)))
+    table[:2, 5] = (-0.0, 0.0)
+    table[2, [0, -1]] = 0.1
+    table[block - 50:2 * block] = 1.0 / 3.0
+    table[2 * block:, 0] = 1.0 / 3.0
+    _assert_written_as_savetxt(table, tmp_path, monkeypatch)
+
+
+def _assert_written_as_savetxt(table, tmp_path, monkeypatch):
+    """write_snapshot of `table` is byte for byte np.savetxt's text and reads
+    back bit for bit."""
+    monkeypatch.setattr(snapshots, "snapshot_columns", lambda *args: list(table.T))
     path = tmp_path / "rows.csv"
     write_snapshot(path, None, 0.0, None, {"t": "0"}, None, None)
     expected = io.StringIO()
     np.savetxt(expected, table, fmt="%.17g", delimiter=",")
     header = "# t=0\n" + ",".join(SNAPSHOT_COLUMNS) + "\n"
-    assert path.read_text() == header + expected.getvalue()
+    written = path.read_text().splitlines(keepends=True)
+    wanted = (header + expected.getvalue()).splitlines(keepends=True)
+    # report line numbers: pytest's own diff of two megabyte texts takes minutes
+    differ = [i for i, (a, b) in enumerate(zip(written, wanted)) if a != b]
+    assert not differ and len(written) == len(wanted), (differ[:3], len(written), len(wanted))
     _, data = read_snapshot(path)
     assert np.column_stack([data[c] for c in SNAPSHOT_COLUMNS]).tobytes() == table.tobytes()
 

@@ -1,7 +1,8 @@
 """Byte-identity gate: every preset at 200 cells, run to its full t_end and
 written by the CLI, must hash to the committed SHA-256. A case named
-'preset+key=value' adds that override; no preset relaxes by projection, so
-one case covers that path.
+'preset+key=value+...' adds those overrides, applied after n_cells=200; no
+preset relaxes by projection, so one case covers that path, and one case of
+9000 cells spans three snapshot write blocks (every other case is one).
 
 A change that moves a hash on purpose updates it here and states by how much
 the fields moved. The hashes were taken with numpy GOLDEN_NUMPY; another numpy
@@ -25,6 +26,8 @@ GOLDEN_SHA256 = {
     "t6_dense_dilute": "d1718780432338699fd8dcc181c4f0de9c957fba2a25657307a910cd252bedee",
     "t6_dense_dilute+relaxation=projection":
         "a002007c0f7144a5d7a664f462a87e3df7ddc0be478e31b562499f0cfa16598d",
+    "t6_dense_dilute+relaxation=projection+n_cells=9000+t_end=2e-6":
+        "09e921db3dfebdc6430bb7a35700b9c86c8ca0d5238922bf3ed9665cdb3fccb3",
 }
 
 

@@ -17,7 +17,7 @@ from demflow.riemann import hllc, thermo_state
 from demflow.scheme import (Grid1D, boundary_lagrangian, cfl_dt, hyperbolic_step,
                             initial_grid, interface_fluxes, ensemble_flux, run,
                             volume_fraction_rhs)
-from demflow.snapshots import snapshot_table
+from demflow.snapshots import snapshot_columns
 from demflow.state import (MixtureCell, PhaseCellState, Primitive, cell_rows,
                            cons_to_prim, mixture_quantities, prim_to_cons)
 
@@ -867,10 +867,10 @@ def unsaturated_grid():
     lambda g: projection_matrix(g.cells, GAS, LIQUID),
     lambda g: kernel_range_vectors(g.cells, GAS, LIQUID),
     lambda g: mixture_quantities(g.cells, GAS, LIQUID),
-    lambda g: snapshot_table(g, np.zeros(g.n_cells + 1), GAS, LIQUID),
+    lambda g: snapshot_columns(g, np.zeros(g.n_cells + 1), GAS, LIQUID),
 ], ids=["cfl_dt", "hyperbolic_step", "interface_fluxes", "relax_continuous",
         "relax_projection", "projection_matrix",
-        "kernel_range_vectors", "mixture_quantities", "snapshot_table"])
+        "kernel_range_vectors", "mixture_quantities", "snapshot_columns"])
 def test_every_reader_rejects_an_unsaturated_grid(read):
     # each reader gets its primitives from phase_primitives, which checks
     # the cells before it recovers them, and keeps nothing when they fail

@@ -16,7 +16,7 @@ from demflow.errors import InvalidStateError
 from demflow.regime import init_field
 from demflow.scheme import (cfl_dt, ensemble_flux, hyperbolic_step, initial_grid,
                             interface_fluxes, run)
-from demflow.snapshots import SNAPSHOT_COLUMNS, compare_oracle, oracle_from_string, snapshot_table
+from demflow.snapshots import SNAPSHOT_COLUMNS, compare_oracle, oracle_from_string, snapshot_columns
 from demflow.state import cell_rows, phase_primitives
 
 
@@ -171,8 +171,8 @@ def test_t1_converges_to_the_exact_solution_at_its_measured_order():
     for n_cells in (200, 400, 800):
         cfg = preset_config("t1_uniform_vf", [f"n_cells={n_cells}", "regime_r=0"])
         snap = run(cfg)[-1]
-        table = snapshot_table(snap.grid, snap.regime_values, cfg.eos1, cfg.eos2)
-        data = dict(zip(SNAPSHOT_COLUMNS, table.T))
+        columns = snapshot_columns(snap.grid, snap.regime_values, cfg.eos1, cfg.eos2)
+        data = dict(zip(SNAPSHOT_COLUMNS, columns))
         report = compare_oracle(data, {"t": f"{snap.t:.17g}"}, spec)
         l1.append({field: report[field].l1 for field in CONVERGENCE_ORDER_BOUND})
     for field, bound in CONVERGENCE_ORDER_BOUND.items():
