@@ -8,14 +8,18 @@ prim_to_cons, cons_to_prim, exact_rp and the config's initial states, and
 raises InvalidStateError instead of clamping. The formulas below check
 nothing; given an inadmissible state they return NaN or a meaningless value.
 
-All functions accept scalars or same-shape numpy arrays.
+All functions accept scalars or same-shape numpy arrays. The formulas read
+only gamma and pi_inf, so they also take EosColumns, both phases' parameters
+as columns that broadcast against rows (2, ...) of both phases.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidStateError, _require
+from .errors import InvalidStateError, _prefixed, _require
 
 
 @dataclass(frozen=True)
@@ -43,23 +47,72 @@ def _at_cell(bad):
     return f" at cell {_first_bad_index(bad)}" if np.ndim(bad) else ""
 
 
+class EosColumns(NamedTuple):
+    """Both phases' gamma and pi_inf as read-only columns of shape
+    (2, 1, ...), phase 1 first, which broadcast against rows (2, ...) of both
+    phases; `phases` keeps the two EosParams."""
+
+    gamma: np.ndarray
+    pi_inf: np.ndarray
+    phases: tuple
+
+
+@lru_cache(maxsize=None)
+def eos_columns(eos1: EosParams, eos2: EosParams, ndim: int) -> EosColumns:
+    """The EosColumns of two phases for cells of `ndim` dimensions: columns
+    of shape (2,) + (1,) * ndim. Made once per phase pair and ndim."""
+    def column(name):
+        col = np.array([getattr(eos1, name), getattr(eos2, name)]).reshape((2,) + (1,) * ndim)
+        col.flags.writeable = False
+        return col
+    return EosColumns(column("gamma"), column("pi_inf"), (eos1, eos2))
+
+
+def _admissible(rho, p, pi_inf):
+    """Whether finite rho > 0 and finite p + pi_inf > 0 hold everywhere;
+    either may be None to test the other alone. Each test is one min and one
+    max (a NaN propagates through both); rows (2, ...) of both phases against
+    pi_inf columns take their min per phase, so no whole-grid sum is made."""
+    if rho is not None:
+        r = np.asarray(rho)
+        if r.size and not (r.min() > 0.0 and r.max() < np.inf):
+            return False
+    if p is None or not np.size(p):
+        return True
+    q = np.asarray(p)
+    per_phase = 0 < q.ndim == np.ndim(pi_inf)
+    lowest = q.min(axis=tuple(range(1, q.ndim)), keepdims=True) if per_phase else q.min()
+    return bool((lowest + pi_inf).min() > 0.0 and q.max() < np.inf)
+
+
 def _check_admissible(rho, p, eos):
     """The admissibility test: finite rho > 0 and finite p + pi_inf > 0; raises
     InvalidStateError naming the first offending cell. Either may be None to
     test the other alone (cons_to_prim checks rho before it divides by it).
-    Each test is one min and one max (a NaN propagates through both); the
-    mask naming the cell is built only for a state that fails."""
-    if rho is not None:
+    The mask naming the cell is built only for a state that fails.
+
+    Given EosColumns, rho and p are rows (2, ...) of both phases (p may be
+    one row that both phases share), tested at once; only a state that fails
+    is scanned phase by phase, phase 1's density and pressure before phase
+    2's, and the error is prefixed 'phase k: '."""
+    if isinstance(eos, EosColumns):
+        if not _admissible(rho, p, eos.pi_inf):
+            shape = np.broadcast_shapes(eos.pi_inf.shape,
+                                        *(np.shape(x) for x in (rho, p) if x is not None))
+            for k, phase_eos in enumerate(eos.phases):
+                with _prefixed(f"phase {k + 1}"):
+                    _check_admissible(*(None if x is None else np.broadcast_to(x, shape)[k, ...]
+                                        for x in (rho, p)), phase_eos)
+        return
+    if not _admissible(rho, None, eos.pi_inf):
         r = np.asarray(rho)
-        if r.size and not (r.min() > 0.0 and r.max() < np.inf):
-            raise InvalidStateError("non-positive or non-finite density"
-                                    + _at_cell(~(np.isfinite(r) & (r > 0.0))))
-    if p is not None:
+        raise InvalidStateError("non-positive or non-finite density"
+                                + _at_cell(~(np.isfinite(r) & (r > 0.0))))
+    if not _admissible(None, p, eos.pi_inf):
         q = np.asarray(p)
-        if q.size and not (q.min() + eos.pi_inf > 0.0 and q.max() < np.inf):
-            raise InvalidStateError(
-                "pressure below stiffened-gas admissibility limit (p + pi_inf <= 0) "
-                "or non-finite pressure" + _at_cell(~(np.isfinite(q) & (q + eos.pi_inf > 0.0))))
+        raise InvalidStateError(
+            "pressure below stiffened-gas admissibility limit (p + pi_inf <= 0) "
+            "or non-finite pressure" + _at_cell(~(np.isfinite(q) & (q + eos.pi_inf > 0.0))))
 
 
 def internal_energy(rho, p, eos):

@@ -8,15 +8,19 @@ applies the kernel-projection matrix of the linearized source, a one-shot
 update accurate to second order in the pre-relaxation disequilibrium.
 
 All operations accept cells holding scalars or arrays (whole grids at once).
+Both phases are computed together: the relaxers read the stacked fractions
+and primitives (2, ...) of phase_primitives' one recovery with the EOS
+columns, and maxwellian writes both phases' rows into one new (8, ...) array
+that the relaxed cells object views.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .eos import EosParams, _at_cell, _first_bad_index, internal_energy, sound_speed
-from .errors import InvalidStateError, _prefixed
-from .state import MixtureCell, PhaseCellState, Primitive, phase_primitives, prim_to_cons
+from .eos import EosParams, _at_cell, _first_bad_index, eos_columns, internal_energy, sound_speed
+from .errors import InvalidStateError
+from .state import MixtureCell, Primitive, _cells, _phases, prim_to_cons
 
 
 @dataclass(frozen=True)
@@ -33,41 +37,40 @@ class ReducedEquilibrium:
 
 
 def maxwellian(red: ReducedEquilibrium, eos1: EosParams, eos2: EosParams) -> MixtureCell:
-    """Rebuild a full two-phase cell from reduced equilibrium variables.
-    prim_to_cons checks each phase's density and pressure; the fractions are
-    left to the returned cells object's one check, phase_primitives."""
-    def phase(label, alpha, rho, eos):
-        with _prefixed(f"phase {label}"):
-            return PhaseCellState(alpha, prim_to_cons(Primitive(rho, red.u, red.p), eos))
-
-    return MixtureCell(phase(1, red.alpha1, red.rho1, eos1),
-                       phase(2, red.alpha2, red.rho2, eos2))
-
-
-def _phase_arrays(cell, eos1, eos2):
-    """(alpha1, alpha2, rho1, u1, p1, rho2, u2, p2) as arrays of the cell's
-    shape; 0-d for a scalar cell."""
-    v1, v2 = phase_primitives(cell, eos1, eos2)
-    return tuple(np.asarray(x, dtype=float) for x in (
-        cell.phase1.alpha, cell.phase2.alpha, v1.rho, v1.u, v1.p, v2.rho, v2.u, v2.p))
+    """Rebuild a full two-phase cell from reduced equilibrium variables: both
+    phases' rows are written into one new (8, ...) array, which the returned
+    cells object views. prim_to_cons checks both phases' density and pressure
+    at once (errors name phase and cell); the fractions are left to the
+    returned cells object's one check, phase_primitives."""
+    shape = np.broadcast_shapes(*(np.shape(x) for x in vars(red).values()))
+    out = np.empty((8,) + shape)
+    rows = out.reshape((2, 4) + shape)
+    rows[0, 0], rows[0, 1], rows[1, 0], rows[1, 1] = red.alpha1, red.rho1, red.alpha2, red.rho2
+    cons = prim_to_cons(Primitive(rows[:, 1], red.u, red.p), eos_columns(eos1, eos2, len(shape)))
+    rows[:, 2], rows[:, 3] = cons.momentum, cons.energy
+    return _cells(out)
 
 
-def _require_both_phases(a1, a2):
-    for label, a in (("1", a1), ("2", a2)):
+def _require_both_phases(alpha):
+    """0 < alpha < 1 (NaN fails) for both phases' fractions (2, ...), one min
+    and one max; only a state that fails is scanned, phase 1 first."""
+    if alpha.size and alpha.min() > 0.0 and alpha.max() < 1.0:
+        return
+    for label in range(2):
+        a = alpha[label, ...]
         bad = ~((a > 0.0) & (a < 1.0))
         if np.any(bad):
             raise InvalidStateError(
                 "both phases must be present (0 < alpha < 1): "
-                f"phase {label} has alpha = {a.flat[_first_bad_index(bad)]:.9g}" + _at_cell(bad))
+                f"phase {label + 1} has alpha = {a.flat[_first_bad_index(bad)]:.9g}" + _at_cell(bad))
 
 
-def _acoustic_coefficients(a1, a2, rho1, p1, rho2, p2, eos1, eos2):
-    """c1^2, c2^2, d = a1 rho2 c2^2 + a2 rho1 c1^2 and m_k = a_k rho_k of the
-    linearized relaxation source."""
-    c1sq = sound_speed(rho1, p1, eos1) ** 2
-    c2sq = sound_speed(rho2, p2, eos2) ** 2
-    d = a1 * rho2 * c2sq + a2 * rho1 * c1sq
-    return c1sq, c2sq, d, a1 * rho1, a2 * rho2
+def _acoustic_coefficients(alpha, v, eos):
+    """c_k^2 and m_k = a_k rho_k (2, ...) of the linearized relaxation source,
+    w = (a2 rho1 c1^2, a1 rho2 c2^2) and d = a1 rho2 c2^2 + a2 rho1 c1^2."""
+    csq = sound_speed(v.rho, v.p, eos) ** 2
+    w = alpha[::-1] * v.rho * csq
+    return csq, w, w[1] + w[0], alpha * v.rho
 
 
 def relax_continuous(cell: MixtureCell, eos1: EosParams, eos2: EosParams) -> MixtureCell:
@@ -83,63 +86,78 @@ def relax_continuous(cell: MixtureCell, eos1: EosParams, eos2: EosParams) -> Mix
     strictly from +inf to below 1, so the admissible root is unique: the
     larger root, taken in cancellation-safe form. Per-phase alpha*rho and
     mixture momentum are preserved exactly, mixture energy to round-off.
+    Both phases are computed together on their stacked rows.
     """
-    a1, a2, rho10, u1, p1, rho20, u2, p2 = _phase_arrays(cell, eos1, eos2)
-    _require_both_phases(a1, a2)
+    return maxwellian(_continuous_equilibrium(cell, eos1, eos2), eos1, eos2)
 
-    m1 = a1 * rho10
-    m2 = a2 * rho20
-    u_star = (m1 * u1 + m2 * u2) / (m1 + m2)
-    E1 = rho10 * (internal_energy(rho10, p1, eos1) + 0.5 * (u_star - u1) ** 2)
-    E2 = rho20 * (internal_energy(rho20, p2, eos2) + 0.5 * (u_star - u2) ** 2)
-    g1, pi1 = eos1.gamma, eos1.pi_inf
-    g2, pi2 = eos2.gamma, eos2.pi_inf
-    c1 = a1 * (g1 - 1.0) / g1
-    c2 = a2 * (g2 - 1.0) / g2
+
+def _continuous_equilibrium(cell, eos1, eos2) -> ReducedEquilibrium:
+    """relax_continuous's equilibrium state, made in a function of its own so
+    that its temporaries are freed before maxwellian builds the cells."""
+    rows, v, eos = _phases(cell, eos1, eos2)[:3]
+    alpha = rows[:, 0]
+    _require_both_phases(alpha)
+
+    m = alpha * v.rho
+    mu = m * v.u
+    u_star = (mu[0] + mu[1]) / (m[0] + m[1])
+    E = v.rho * (internal_energy(v.rho, v.p, eos) + 0.5 * (u_star - v.u) ** 2)
+    g, pi = eos.gamma, eos.pi_inf
+    pi1, pi2 = eos1.pi_inf, eos2.pi_inf
+    c = alpha * (g - 1.0) / g
 
     # c1 (E1 + p)/(p + pi1) + c2 (E2 + p)/(p + pi2) = 1 times (p + pi1)(p + pi2)
-    qa = 1.0 - c1 - c2
-    qb = pi1 + pi2 - c1 * (E1 + pi2) - c2 * (E2 + pi1)
-    qc = pi1 * pi2 - c1 * E1 * pi2 - c2 * E2 * pi1
+    qa = 1.0 - c[0] - c[1]
+    cross = c * (E + pi[::-1])
+    qb = pi1 + pi2 - cross[0] - cross[1]
+    cross = c * E * pi[::-1]
+    qc = pi1 * pi2 - cross[0] - cross[1]
     disc = qb * qb - 4.0 * qa * qc
     bad = ~(np.isfinite(disc) & (disc >= 0.0))
     if np.any(bad):
         idx = _first_bad_index(bad)
-        state = ", ".join(f"{f.flat[idx]:.9g}" for f in (a1, rho10, u1, p1, a2, rho20, u2, p2))
+        state = ", ".join(f"{f[k, ...].flat[idx]:.9g}"
+                          for k in range(2) for f in (alpha, v.rho, v.u, v.p))
         raise InvalidStateError(
             f"pressure quadratic has discriminant {disc.flat[idx]:.9g}"
             f"{_at_cell(bad)}; (alpha1, rho1, u1, p1, alpha2, rho2, u2, p2) = ({state})")
     # the larger root, without cancellation between qb and sqrt(disc)
     q = -0.5 * (qb + np.where(qb < 0.0, -1.0, 1.0) * np.sqrt(disc))
     p = np.where(qb < 0.0, q / qa, qc / q)
-    r1 = rho10 * g1 * (p + pi1) / ((g1 - 1.0) * (E1 + p))
-    r2 = rho20 * g2 * (p + pi2) / ((g2 - 1.0) * (E2 + p))
+    r = v.rho * g * (p + pi) / ((g - 1.0) * (E + p))
+    a = m / r
 
-    red = ReducedEquilibrium(alpha1=m1 / r1, rho1=r1, u=u_star, p=p, alpha2=m2 / r2, rho2=r2)
-    return maxwellian(red, eos1, eos2)
+    return ReducedEquilibrium(alpha1=a[0], rho1=r[0], u=u_star, p=p, alpha2=a[1], rho2=r[1])
 
 
 def relax_projection(cell: MixtureCell, eos1: EosParams, eos2: EosParams) -> MixtureCell:
     """One-shot equilibration through the kernel projection of the linearized
     relaxation source, built from the pre-relaxation state."""
-    a1, a2, rho1, u1, p1, rho2, u2, p2 = _phase_arrays(cell, eos1, eos2)
-    _require_both_phases(a1, a2)
-    c1sq, c2sq, d, m1, m2 = _acoustic_coefficients(a1, a2, rho1, p1, rho2, p2, eos1, eos2)
+    return maxwellian(_projected_equilibrium(cell, eos1, eos2), eos1, eos2)
+
+
+def _projected_equilibrium(cell, eos1, eos2) -> ReducedEquilibrium:
+    """relax_projection's equilibrium state, made in a function of its own so
+    that its temporaries are freed before maxwellian builds the cells."""
+    rows, v, eos = _phases(cell, eos1, eos2)[:3]
+    alpha = rows[:, 0]
+    _require_both_phases(alpha)
+    _, w, d, m = _acoustic_coefficients(alpha, v, eos)
     bad = ~(np.isfinite(d) & (d > 0.0))
     if np.any(bad):
         raise InvalidStateError("degenerate acoustic impedances "
                                 f"(d = {d.flat[_first_bad_index(bad)]:.9g}){_at_cell(bad)}")
+    (a1, a2), (rho1, rho2), (u1, u2), (p1, p2) = alpha, v.rho, v.u, v.p
     dp = p1 - p2
     _check_validity_bound(a1, a2, dp, d)
-    red = ReducedEquilibrium(
+    return ReducedEquilibrium(
         alpha1=a1 + a1 * a2 * dp / d,
         rho1=rho1 - a2 * rho1 * dp / d,
-        u=(m1 * u1 + m2 * u2) / (m1 + m2),
-        p=(a1 * rho2 * c2sq * p1 + a2 * rho1 * c1sq * p2) / d,
+        u=(m[0] * u1 + m[1] * u2) / (m[0] + m[1]),
+        p=(w[1] * p1 + w[0] * p2) / d,
         alpha2=a2 - a1 * a2 * dp / d,
         rho2=rho2 + a1 * rho2 * dp / d,
     )
-    return maxwellian(red, eos1, eos2)
 
 
 def _check_validity_bound(a1, a2, dp, d):
@@ -162,8 +180,10 @@ def projection_matrix(cell: MixtureCell, eos1: EosParams, eos2: EosParams) -> np
     evaluated at the cell's state. Maps the primitive 8-vector
     (alpha1, rho1, u1, p1, alpha2, rho2, u2, p2) to reduced variables.
     Batched cells give shape (..., 6, 8)."""
-    a1, a2, rho1, _, p1, rho2, _, p2 = _phase_arrays(cell, eos1, eos2)
-    c1sq, c2sq, d, m1, m2 = _acoustic_coefficients(a1, a2, rho1, p1, rho2, p2, eos1, eos2)
+    rows, v, eos = _phases(cell, eos1, eos2)[:3]
+    alpha = rows[:, 0]
+    (c1sq, c2sq), _, d, (m1, m2) = _acoustic_coefficients(alpha, v, eos)
+    (a1, a2), (rho1, rho2) = alpha, v.rho
     pi = np.zeros(a1.shape + (6, 8))
     pi[..., 0, 0] = 1.0
     pi[..., 0, 3] = a1 * a2 / d
@@ -196,8 +216,10 @@ def kernel_range_vectors(cell: MixtureCell, eos1: EosParams, eos2: EosParams):
     """The two primitive-variable directions spanned by the linearized
     relaxation source; the projection matrix annihilates both.
     Batched cells give shapes (..., 8)."""
-    a1, a2, rho1, _, p1, rho2, _, p2 = _phase_arrays(cell, eos1, eos2)
-    c1sq, c2sq, _, _, _ = _acoustic_coefficients(a1, a2, rho1, p1, rho2, p2, eos1, eos2)
+    rows, v, eos = _phases(cell, eos1, eos2)[:3]
+    alpha = rows[:, 0]
+    (c1sq, c2sq), _, _, _ = _acoustic_coefficients(alpha, v, eos)
+    (a1, a2), (rho1, rho2) = alpha, v.rho
     zeros = np.zeros_like(a1)
     v1 = np.stack([np.ones_like(a1), -rho1 / a1, zeros, -rho1 * c1sq / a1,
                    -np.ones_like(a1), rho2 / a2, zeros, rho2 * c2sq / a2], axis=-1)

@@ -143,12 +143,14 @@ def hllc(left: ThermoState, right: ThermoState, weight=None, first=0) -> Riemann
     beyond = np.flatnonzero((s_l >= 0.0) | (s_r < 0.0))
     if beyond.size:
         shape = np.shape(sigma) or (1,)
-        at = np.unravel_index(beyond, shape)
-        from_left = np.broadcast_to(s_l, shape)[at] >= 0.0
-        side = ThermoState(*(np.where(from_left, np.broadcast_to(x, shape)[at],
-                                      np.broadcast_to(y, shape)[at])
-                             for x, y in zip(left, right)))
-        flux0.reshape(3, -1)[:, beyond] = side.F.reshape(3, -1)
+        at = (slice(None),) + np.unravel_index(beyond, shape)
+        # rho, u, p and E, the fields F reads, of each side: stacked on a new
+        # first axis, padded to the fan's dimensions and gathered at once
+        sides = (np.stack(np.broadcast_arrays(s.rho, s.u, s.p, s.E)) for s in (left, right))
+        rho, u, p, E = np.where(np.broadcast_to(s_l, shape)[at[1:]] >= 0.0, *(
+            np.broadcast_to(x.reshape((4,) + (1,) * (len(shape) + 1 - x.ndim) + x.shape[1:]),
+                            (4,) + shape)[at] for x in sides))
+        flux0.reshape(3, -1)[:, beyond] = ThermoState(rho, u, p, None, E).F
     if outside is not None:
         flux0 = np.where(outside, 0.0, flux0)
     return RiemannFan(flux0=flux0, sigma=sigma, p_star=p_star, s_left=s_l, s_right=s_r)

@@ -7,17 +7,19 @@ flux -> 0, state -> 1 (so the Lagrangian flux reduces to -sigma). Time
 integration is forward Euler under a CFL bound, with optional per-cell
 relaxation after each step (operator splitting).
 
-The step stacks the two phases on one axis: per block of cells it evaluates
-the equation of state once on both phases' rows, solves all four pairings in
-one hllc call (leaves of shape (2, 2, m)), sums the cross fans' Lagrangian
-and volume-fraction terms in one pass, and updates both phases through the
-(2, 4, n) view of the grid's state. Blocks read views of the recovered
-primitives; only a block at an end of the grid copies its edge cell.
+The step stacks the two phases on one axis. It reads both phases'
+primitives (2, n) from the cells' one check and recovery (phase_primitives),
+with the EOS parameters as (2, 1) columns; CFL is one sound-speed pass over
+them. Per block of cells it evaluates the equation of state once on both
+phases' rows, solves all four pairings in one hllc call (leaves of shape
+(2, 2, m)), sums the cross fans' Lagrangian and volume-fraction terms, and
+updates both phases through the (2, 4, n) view of the grid's state. Blocks
+read views of the stacked rows; only a block at an end of the grid copies
+them, with its edge cell repeated.
 """
 
 from dataclasses import astuple, dataclass, replace
 from functools import cached_property
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -27,8 +29,8 @@ from .probability import convex_quad
 from .regime import RegimeField, init_field, stochastic_update
 from .relaxation import relax_continuous, relax_projection
 from .riemann import RiemannFan, ThermoState, hllc, thermo_state
-from .state import (Conserved, MixtureCell, PhaseCellState, Primitive, cell_rows,
-                    phase_primitives, prim_to_cons, validate_mixture)
+from .state import (MixtureCell, PhaseCellState, Primitive, _cells, _phases, _rows, cell_rows,
+                    prim_to_cons, validate_mixture)
 
 # cells per block of the hyperbolic step: a block's temporaries, a few
 # hundred arrays of up to (3, block) floats (~200 KB each), stay near a
@@ -63,9 +65,7 @@ class Grid1D:
 
     @cached_property
     def cells(self) -> MixtureCell:
-        a1, m1, p1, e1, a2, m2, p2, e2 = self.state
-        return MixtureCell(PhaseCellState(a1, Conserved(m1, p1, e1)),
-                           PhaseCellState(a2, Conserved(m2, p2, e2)))
+        return _cells(self.state)
 
     @property
     def dx(self):
@@ -99,42 +99,45 @@ def _cross(x):
 
 
 def _step_rows(grid: Grid1D, regime: RegimeField, eos1, eos2):
-    """Rows rho1, rho2, u1, u2, p1, p2, alpha1 of the grid's cells, read from
-    phase_primitives, the cells' one check. Only the regime field's shape is
-    checked here: convex_quad checks its values in _interface_block."""
+    """The grid's cells as stacked rows, read from phase_primitives' check
+    and recovery: alpha and mass (2, 2, n) of both phases (a view of the
+    state), u and p (2, n), and the EOS columns. Only the regime field's
+    shape is checked here: convex_quad checks its values in _interface_block."""
     if np.shape(regime.values) != (grid.n_cells + 1,):
         raise SolverError("regime field does not match the grid's interfaces")
-    v1, v2 = phase_primitives(grid.cells, eos1, eos2)
-    return (v1.rho, v2.rho, v1.u, v2.u, v1.p, v2.p, grid.state[0])
+    rows, v, eos = _phases(grid.cells, eos1, eos2)[:3]
+    return (rows[:, :2], v.u, v.p), eos
 
 
 def _block_cells(rows, lo, hi):
-    """Cells lo - 1 .. hi of each row, either side of interfaces lo .. hi:
-    views inside the grid; a block at an end of the grid gets copies whose
-    cell outside it repeats the edge cell (transmissive boundary)."""
-    if 0 < lo and hi < len(rows[0]):
-        return [x[lo - 1:hi + 1] for x in rows]
-    cells = np.arange(lo - 1, hi + 1)
-    return [x.take(cells, mode="clip") for x in rows]
+    """Cells lo - 1 .. hi (the last axis) of each row, either side of
+    interfaces lo .. hi: views inside the grid; a block at an end of the grid
+    gets copies whose cell outside it repeats the edge cell (transmissive
+    boundary)."""
+    if 0 < lo and hi < rows[0].shape[-1]:
+        return [x[..., lo - 1:hi + 1] for x in rows]
+    # taken from the block's own cells: a take along the last axis of a
+    # strided view would copy the whole view first
+    start = max(lo - 1, 0)
+    cells = np.arange(lo - 1 - start, hi + 1 - start)
+    return [x[..., start:hi + 1].take(cells, axis=-1, mode="clip") for x in rows]
 
 
-def _interface_block(cells, r, eos1, eos2, first=0) -> InterfaceFluxSet:
+def _interface_block(cells, r, eos, first=0) -> InterfaceFluxSet:
     """Interface data between m consecutive cells (_block_cells' rows) at
     their m - 1 interfaces, r one value per interface, the first interface
     numbered `first` in errors.
 
     The equation of state is evaluated once, on both phases' rows with the
-    phases' parameters as (2, 1) columns (the EOS formulas only read gamma
-    and pi_inf, so they broadcast); one hllc call solves the four pairings
-    from left views (2, 1, m - 1) and right views (1, 2, m - 1)."""
-    rho1, rho2, u1, u2, p1, p2, alpha1 = cells
+    EOS columns `eos` (the EOS formulas only read gamma and pi_inf, so they
+    broadcast); one hllc call solves the four pairings from left views
+    (2, 1, m - 1) and right views (1, 2, m - 1)."""
+    alpha_mass, u, p = cells
+    alpha1 = alpha_mass[0, 0]
     weight = convex_quad(alpha1[:-1], alpha1[1:], r)
-    eos = SimpleNamespace(gamma=np.array([[eos1.gamma], [eos2.gamma]]),
-                          pi_inf=np.array([[eos1.pi_inf], [eos2.pi_inf]]))
-    rec = thermo_state(Primitive(np.array((rho1, rho2)), np.array((u1, u2)),
-                                 np.array((p1, p2))), eos)
-    fan = hllc(ThermoState(*(x[:, None, :-1] for x in rec)),
-               ThermoState(*(x[None, :, 1:] for x in rec)), weight, first)
+    rec = thermo_state(Primitive(alpha_mass[:, 1], u, p), eos)
+    fan = hllc(ThermoState(*[x[:, None, :-1] for x in rec]),
+               ThermoState(*[x[None, :, 1:] for x in rec]), weight, first)
     return InterfaceFluxSet(fan, weight, (_cross(fan.sigma) >= 0.0).astype(float))
 
 
@@ -145,8 +148,8 @@ def interface_fluxes(grid: Grid1D, regime: RegimeField, eos1, eos2) -> Interface
 
     Interface i sits between cells i - 1 and i; the two outer interfaces see
     a copy of their edge cell (transmissive boundary)."""
-    rows = _step_rows(grid, regime, eos1, eos2)
-    return _interface_block(_block_cells(rows, 0, grid.n_cells), regime.values, eos1, eos2)
+    rows, eos = _step_rows(grid, regime, eos1, eos2)
+    return _interface_block(_block_cells(rows, 0, grid.n_cells), regime.values, eos)
 
 
 def ensemble_flux(ifs: InterfaceFluxSet):
@@ -169,12 +172,11 @@ def _lagrangian_cell_sums(ifs, cross):
     `cross` (..., 2, m), the 12 fan's at [..., 0, :] and the 21 fan's at
     [..., 1, :]: inflow terms from the left interface (where a switch is on)
     plus inflow terms from the right interface (where it is off). Phase 2's
-    sum is its exact negative."""
-    (on12, on21), w = ifs.on, ifs.weight
-    term21, term12 = w[1, 0] * cross[..., 1, :], w[0, 1] * cross[..., 0, :]
-    plus = on21 * term21 - on12 * term12
-    minus = (1.0 - on21) * term21 - (1.0 - on12) * term12
-    return plus[..., :-1] + minus[..., 1:]
+    sum is its exact negative. Both fans' terms are made at once, the 12
+    fan's at [..., 0, :] and the 21 fan's at [..., 1, :]."""
+    terms = _cross(ifs.weight) * cross
+    plus, minus = ifs.on * terms, (1.0 - ifs.on) * terms
+    return (plus[..., 1, :-1] - plus[..., 0, :-1]) + (minus[..., 1, 1:] - minus[..., 0, 1:])
 
 
 def boundary_lagrangian(ifs: InterfaceFluxSet):
@@ -194,11 +196,11 @@ def volume_fraction_rhs(ifs: InterfaceFluxSet):
 
 
 def cfl_dt(grid: Grid1D, cfl, eos1, eos2) -> float:
-    """Largest stable time step: cfl * dx / max(|u| + a) over cells and phases."""
-    fastest = 0.0
-    for v, eos in zip(phase_primitives(grid.cells, eos1, eos2), (eos1, eos2)):
-        fastest = max(fastest, float(np.max(np.abs(v.u) + sound_speed(v.rho, v.p, eos))))
-    if not np.isfinite(fastest) or fastest <= 0.0:
+    """Largest stable time step: cfl * dx / max(|u| + a) over cells and phases,
+    one pass over both phases' rows."""
+    _, v, eos = _phases(grid.cells, eos1, eos2)[:3]
+    fastest = float((np.abs(v.u) + sound_speed(v.rho, v.p, eos)).max())
+    if not 0.0 < fastest < np.inf:
         raise SolverError("non-finite wave speed in CFL estimate")
     return float(cfl) * grid.dx / fastest
 
@@ -216,7 +218,7 @@ def hyperbolic_step(grid: Grid1D, regime: RegimeField, dt, eos1, eos2) -> Grid1D
     block. It checks its cells once (phase_primitives) and the new state once
     (validate_mixture); convex_quad checks r in each block.
     """
-    rows = _step_rows(grid, regime, eos1, eos2)
+    rows, eos = _step_rows(grid, regime, eos1, eos2)
     n = grid.n_cells
     n_blocks = -(-n // _BLOCK_CELLS)
     bounds = [k * n // n_blocks for k in range(n_blocks + 1)]
@@ -225,32 +227,34 @@ def hyperbolic_step(grid: Grid1D, regime: RegimeField, dt, eos1, eos2) -> Grid1D
     old = grid.state.reshape(2, 4, n)
 
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        ifs = _interface_block(_block_cells(rows, lo, hi), regime.values[lo:hi + 1],
-                               eos1, eos2, lo)
+        ifs = _interface_block(_block_cells(rows, lo, hi), regime.values[lo:hi + 1], eos, lo)
         e = ensemble_flux(ifs)
         lag = lam * boundary_lagrangian(ifs)
         frac = lam * volume_fraction_rhs(ifs)
-        # phase 2's sums are phase 1's negated, and x + (-y) is x - y bit for
-        # bit. The mass rows get no sum: the Lagrangian flux's mass row is
+        # phase 2's sums are phase 1's negated, subtracted: x - y is x + (-y)
+        # bit for bit. The mass rows get no sum: the Lagrangian flux's mass row is
         # +0.0, and x + 0.0 differs from x only at x = -0.0; a cell with a
         # mass of -0.0 or 0.0 fails the new state's density check either way
         # where alpha > 0, and keeps its old U where alpha = 0
         alpha, u_old = old[:, 0, lo:hi], old[:, 1:, lo:hi]
         alpha_u = alpha[:, None] * u_old
         alpha_u -= lam * (e[..., 1:] - e[..., :-1])
-        alpha_u[:, 1:] += np.array((lag, -lag))
+        alpha_u[0, 1:] += lag
+        alpha_u[1, 1:] -= lag
         if lo == 0:
             # made after the first block's temporaries, so that their freed
             # space is not trimmed off the heap top and faulted back each step
             new = np.empty_like(grid.state)
             new_rows = new.reshape(2, 4, n)
-        alpha_new = np.add(alpha, np.array((frac, -frac)), out=new_rows[:, 0, lo:hi])
+        alpha_new = new_rows[:, 0, lo:hi]
+        np.add(alpha[0], frac, out=alpha_new[0])
+        np.subtract(alpha[1], frac, out=alpha_new[1])
         present = alpha_new > 0.0
         u_new = np.divide(alpha_u, np.where(present, alpha_new, 1.0)[:, None],
                           out=new_rows[:, 1:, lo:hi])
         np.copyto(u_new, u_old, where=~present[:, None])
 
-    out = replace(grid, state=new)
+    out = Grid1D(grid.x_min, grid.x_max, new)
     validate_mixture(out.cells, eos1, eos2, context="after hyperbolic step")
     return out
 
@@ -310,7 +314,7 @@ def run(config) -> list:
                 grid = hyperbolic_step(grid, field, dt, eos1, eos2)
                 if relaxer is not None:
                     with _prefixed(f"{config.relaxation} relaxation"):
-                        grid = replace(grid, state=cell_rows(relaxer(grid.cells, eos1, eos2)))
+                        grid = replace(grid, state=_rows(relaxer(grid.cells, eos1, eos2)))
                         validate_mixture(grid.cells, eos1, eos2, context="after relaxation")
             except DemflowError as exc:
                 raise type(exc)(f"{exc} (at t = {t:.9e} s, step {steps})") from exc

@@ -608,8 +608,8 @@ def fingerprint(cells):
     memoised on it, in the order they were recovered."""
     leaves = [x for ph in (cells.phase1, cells.phase2)
               for x in (ph.alpha, ph.cons.mass, ph.cons.momentum, ph.cons.energy)]
-    memo = [x for pair in cells.__dict__.get("_primitives", {}).values()
-            for v in pair for x in (v.rho, v.u, v.p)]
+    memo = [x for phases in cells.__dict__.get("_primitives", {}).values()
+            for x in (phases.v.rho, phases.v.u, phases.v.p)]
     return [np.asarray(x).tobytes() for x in leaves + memo]
 
 
@@ -786,67 +786,73 @@ def test_continuous_relaxation_completes_admissible_runs(name, overrides):
     assert np.max(np.abs(v1.p - v2.p) / (np.abs(v1.p) + cfg.eos2.pi_inf)) < 1e-12
 
 
+def count_calls(monkeypatch, names):
+    """Count calls of the named demflow functions wherever a demflow module
+    holds them (modules read each other's functions from their globals), and
+    of the relaxers through scheme._RELAXERS, which `run` reads them from."""
+    counts = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+
+    originals = {name: getattr(sys.modules[f"demflow.{name.split('.')[0]}"], name.split(".")[1])
+                 for name in names if "." in name}
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] != "demflow":
+            continue
+        for name, fn in originals.items():
+            attr = name.split(".")[1]
+            if getattr(module, attr, None) is fn:
+                monkeypatch.setattr(module, attr, counted(name, fn))
+    for mode, fn in scheme._RELAXERS.items():
+        if fn is not None and mode in counts:
+            monkeypatch.setitem(scheme._RELAXERS, mode, counted(mode, fn))
+    return counts
+
+
 @pytest.mark.parametrize("name, overrides, per_step", [
-    ("t1_uniform_vf", ["n_cells=100"], 2),
-    ("t4_cavitation", ["n_cells=40"], 4),
+    ("t1_uniform_vf", ["n_cells=100"], 1),
+    ("t4_cavitation", ["n_cells=40"], 2),
 ], ids=["t1_no_relaxation", "t4_continuous_relaxation"])
 def test_run_recovers_each_state_once(monkeypatch, name, overrides, per_step):
     # each step makes one new cells object, two with relaxation; each is
-    # recovered once, by its validation, and CFL, fluxes and relaxation
-    # reuse that recovery; the initial grid adds one recovery per phase
-    original = state.cons_to_prim
-    counts = {"recoveries": 0, "steps": 0}
-
-    def counted_recovery(*args):
-        counts["recoveries"] += 1
-        return original(*args)
-
-    step = scheme.hyperbolic_step
-
-    def counted_step(*args):
-        counts["steps"] += 1
-        return step(*args)
-
-    for module_name, module in list(sys.modules.items()):
-        if (module_name.split(".")[0] == "demflow"
-                and getattr(module, "cons_to_prim", None) is original):
-            monkeypatch.setattr(module, "cons_to_prim", counted_recovery)
-    monkeypatch.setattr(scheme, "hyperbolic_step", counted_step)
+    # recovered once, by its validation, in one cons_to_prim call on both
+    # phases' rows, and CFL, fluxes and relaxation reuse that recovery; the
+    # initial grid adds one
+    counts = count_calls(monkeypatch, ["state.cons_to_prim", "scheme.hyperbolic_step"])
     run(preset_config(name, overrides))
-    assert counts["steps"] > 10
-    assert counts["recoveries"] == per_step * counts["steps"] + 2
+    assert counts["scheme.hyperbolic_step"] > 10
+    assert counts["state.cons_to_prim"] == per_step * counts["scheme.hyperbolic_step"] + 1
 
 
 @pytest.mark.parametrize("overrides, per_step", [
-    (["n_cells=100"], 2),
-    (["n_cells=100", "relaxation=continuous"], 4),
+    (["n_cells=100"], 1),
+    (["n_cells=100", "relaxation=continuous"], 2),
 ], ids=["t1_no_relaxation", "t1_continuous_relaxation"])
 def test_run_checks_each_state_once(monkeypatch, overrides, per_step):
-    # phase_primitives checks both phases' fractions once per cells object:
-    # one object per step, two with relaxation (maxwellian builds the relaxed
-    # fractions unchecked, and run's validation checks them); the initial
-    # grid adds two
-    original = state._check_fraction
-    counts = {"checks": 0, "steps": 0}
-
-    def counted_check(alpha):
-        counts["checks"] += 1
-        return original(alpha)
-
-    step = scheme.hyperbolic_step
-
-    def counted_step(*args):
-        counts["steps"] += 1
-        return step(*args)
-
-    for module_name, module in list(sys.modules.items()):
-        if (module_name.split(".")[0] == "demflow"
-                and getattr(module, "_check_fraction", None) is original):
-            monkeypatch.setattr(module, "_check_fraction", counted_check)
-    monkeypatch.setattr(scheme, "hyperbolic_step", counted_step)
+    # phase_primitives checks both phases' fractions and saturation once per
+    # cells object, in one _check_fractions call: one object per step, two
+    # with relaxation (maxwellian builds the relaxed fractions unchecked,
+    # and run's validation checks them); the initial grid adds one
+    counts = count_calls(monkeypatch, ["state._check_fractions", "scheme.hyperbolic_step"])
     run(preset_config("t1_uniform_vf", overrides))
-    assert counts["steps"] > 10
-    assert counts["checks"] == per_step * counts["steps"] + 2
+    assert counts["scheme.hyperbolic_step"] > 10
+    assert counts["state._check_fractions"] == per_step * counts["scheme.hyperbolic_step"] + 1
+
+
+@pytest.mark.parametrize("relaxation", ["none", "continuous", "projection"])
+def test_run_calls_cfl_step_and_relaxer_once_per_step(monkeypatch, relaxation):
+    counts = count_calls(monkeypatch, ["scheme.cfl_dt", "scheme.hyperbolic_step",
+                                       "continuous", "projection"])
+    run(preset_config("t1_uniform_vf", ["n_cells=100", f"relaxation={relaxation}"]))
+    steps = counts["scheme.hyperbolic_step"]
+    assert steps > 10
+    assert counts["scheme.cfl_dt"] == steps
+    for mode in ("continuous", "projection"):
+        assert counts[mode] == (steps if mode == relaxation else 0)
 
 
 def unsaturated_grid():

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+from demflow import scheme
+from demflow.config import preset_config
 from demflow.eos import EosParams
 from demflow.errors import InvalidStateError
+from demflow.relaxation import ReducedEquilibrium, maxwellian
+from demflow.scheme import Grid1D, initial_grid, run
 from demflow.state import (Conserved, MixtureCell, PhaseCellState, Primitive,
-                           cons_to_prim, mixture_quantities, prim_to_cons,
-                           validate_mixture)
+                           cons_to_prim, mixture_quantities, phase_primitives,
+                           prim_to_cons, validate_mixture)
 
 GAS = EosParams(1.4, 0.0)
 LIQUID = EosParams(4.4, 6.0e8)
@@ -120,3 +124,74 @@ def test_validate_mixture_reports_cell_and_phase():
     )
     with pytest.raises(InvalidStateError, match="cell 2"):
         validate_mixture(cell, GAS, LIQUID)
+
+
+# states that break two rules at once, as edits of a valid 6-cell t1 state
+# (rows alpha1, mass1, momentum1, energy1, alpha2, ...); each error names the
+# rule, phase and cell that come first in the check's order: both fractions
+# (phase 1 first), saturation, then phase 1's density and pressure before
+# phase 2's, whatever the cell index
+_PRESSURE = ("pressure below stiffened-gas admissibility limit (p + pi_inf <= 0) "
+             "or non-finite pressure")
+_DENSITY = "non-positive or non-finite density"
+PRECEDENCE = {
+    "fraction2_before_density1": (
+        {(1, 1): -1.0, (4, 4): 1.5},
+        "phase 2: volume fraction left [0, 1] at cell 4"),
+    "saturation_before_pressure1": (
+        {(3, 1): -1e30, (4, 3): 0.7},
+        "saturation violated at cell 3"),
+    "pressure1_before_density2": (
+        {(3, 4): -1e30, (5, 2): 0.0},
+        f"phase 1: {_PRESSURE} at cell 4"),
+    "density1_before_density2": (
+        {(1, 5): float("nan"), (5, 0): -1.0},
+        f"phase 1: {_DENSITY} at cell 5"),
+}
+
+
+def precedence_rows(edits):
+    cfg = preset_config("t1_uniform_vf", ["n_cells=6"])
+    rows = initial_grid(cfg).state.copy()
+    for at, value in edits.items():
+        rows[at] = value
+    return cfg, rows
+
+
+def rows_cells(rows):
+    return Grid1D(0.0, 1.0, rows).cells
+
+
+@pytest.mark.parametrize("case", PRECEDENCE)
+def test_check_names_the_first_broken_rule_of_a_state_that_breaks_two(monkeypatch, case):
+    edits, message = PRECEDENCE[case]
+    cfg, rows = precedence_rows(edits)
+    with pytest.raises(InvalidStateError) as info:
+        phase_primitives(rows_cells(rows), cfg.eos1, cfg.eos2)
+    assert str(info.value) == message
+    with pytest.raises(InvalidStateError) as info:
+        validate_mixture(rows_cells(rows), cfg.eos1, cfg.eos2, "after hyperbolic step")
+    assert str(info.value) == f"{message} (after hyperbolic step)"
+    # the same state handed back by the relaxer of a run's first step
+    monkeypatch.setitem(scheme._RELAXERS, "continuous",
+                        lambda cells, eos1, eos2: rows_cells(rows.copy()))
+    with pytest.raises(InvalidStateError) as info:
+        run(preset_config("t1_uniform_vf", ["n_cells=6", "relaxation=continuous"]))
+    assert str(info.value) == (f"continuous relaxation: {message} (after relaxation) "
+                               "(at t = 0.000000000e+00 s, step 1)")
+
+
+def test_maxwellian_names_phase_1_pressure_before_phase_2_density():
+    # the shared pressure -1e5 Pa is below phase 1's limit (the gas's
+    # pi_inf = 0) and above phase 2's (the liquid's 6e8); phase 2's density
+    # fails at a lower cell
+    def red(p):
+        return ReducedEquilibrium(alpha1=np.full(4, 0.5), rho1=np.full(4, 50.0),
+                                  u=np.zeros(4), p=p, alpha2=np.full(4, 0.5),
+                                  rho2=np.array([1000.0, -1.0, 1000.0, 1000.0]))
+    with pytest.raises(InvalidStateError) as info:
+        maxwellian(red(np.array([1e5, 1e5, -1e5, 1e5])), GAS, LIQUID)
+    assert str(info.value) == f"phase 1: {_PRESSURE} at cell 2"
+    with pytest.raises(InvalidStateError) as info:
+        maxwellian(red(np.full(4, 1e5)), GAS, LIQUID)
+    assert str(info.value) == f"phase 2: {_DENSITY} at cell 1"
