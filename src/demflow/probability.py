@@ -36,17 +36,22 @@ def convex_quad(alpha_left, alpha_right, r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if r.size and not (r.min() >= 0.0 and r.max() <= 1.0):
         raise InvalidStateError("regime parameter r outside [0, 1]")
-    al, ar, r = np.broadcast_arrays(alpha_left, alpha_right, r)
+    al, ar = np.asarray(alpha_left), np.asarray(alpha_right)
+    # a step's block passes same-shape rows: broadcast only other shapes
+    if not al.shape == ar.shape == r.shape:
+        al, ar, r = np.broadcast_arrays(al, ar, r)
+    # the complements 1 - aR and 1 - aL, each made once
+    ar_c, al_c = 1.0 - ar, 1.0 - al
     s_kk, s_kl = np.minimum(al, ar), np.maximum(al - ar, 0.0)
-    d_kk, d_kl = np.maximum(al - (1.0 - ar), 0.0), np.minimum(al, 1.0 - ar)
+    d_kk, d_kl = np.maximum(al - ar_c, 0.0), np.minimum(al, ar_c)
     s_lk, d_lk = ar - s_kk, ar - d_kk
     # r * disp + (1 - r) * strat, built in place: at a step's 8192-interface
     # block each (2, 2, m) temporary is 256 KiB, and the three more that the
     # plain expression makes cost the 1e5-cell benchmark ~5 % per cell-step
     # and 10 MiB of peak RSS (2-core Xeon, numpy 2.4.6)
-    P = np.array([[d_kk, d_kl], [d_lk, 1.0 - al - d_lk]], dtype=float)
+    P = np.array([[d_kk, d_kl], [d_lk, al_c - d_lk]], dtype=float)
     P *= r
-    strat = np.array([[s_kk, s_kl], [s_lk, 1.0 - al - s_lk]], dtype=float)
+    strat = np.array([[s_kk, s_kl], [s_lk, al_c - s_lk]], dtype=float)
     strat *= 1.0 - r
     P += strat
     return P

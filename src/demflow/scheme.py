@@ -86,11 +86,13 @@ class InterfaceFluxSet:
     (2, 2, m) matrix P, the probability of each pairing with phase 1 as k;
     and the cross-pair switches `on` (2, m): on[0] is 1.0 where the 12 fan's
     contact speed is >= 0 (its sampled Godunov state belongs to phase 1),
-    else 0.0, and on[1] likewise for the 21 fan (phase 2)."""
+    else 0.0, and on[1] likewise for the 21 fan (phase 2); `off` is 1.0 - on,
+    made once for the flux and both Lagrangian sums."""
 
     fan: RiemannFan
     weight: np.ndarray
     on: np.ndarray
+    off: np.ndarray
 
 
 def _cross(x):
@@ -138,7 +140,8 @@ def _interface_block(cells, r, eos, first=0) -> InterfaceFluxSet:
     rec = thermo_state(Primitive(alpha_mass[:, 1], u, p), eos)
     fan = hllc(ThermoState(*[x[:, None, :-1] for x in rec]),
                ThermoState(*[x[None, :, 1:] for x in rec]), weight, first)
-    return InterfaceFluxSet(fan, weight, (_cross(fan.sigma) >= 0.0).astype(float))
+    on = (_cross(fan.sigma) >= 0.0).astype(float)
+    return InterfaceFluxSet(fan, weight, on, 1.0 - on)
 
 
 def interface_fluxes(grid: Grid1D, regime: RegimeField, eos1, eos2) -> InterfaceFluxSet:
@@ -162,9 +165,8 @@ def ensemble_flux(ifs: InterfaceFluxSet):
     # [2:0:-1] lk, each in phase order
     flux = ifs.fan.flux0.reshape(3, 4, -1).transpose(1, 0, 2)
     w = ifs.weight.reshape(4, 1, -1)
-    on = ifs.on[:, None]
-    return (w[::3] * flux[::3] + on * w[1:3] * flux[1:3]
-            + (1.0 - on[::-1]) * w[2:0:-1] * flux[2:0:-1])
+    return (w[::3] * flux[::3] + ifs.on[:, None] * w[1:3] * flux[1:3]
+            + ifs.off[::-1, None] * w[2:0:-1] * flux[2:0:-1])
 
 
 def _lagrangian_cell_sums(ifs, cross):
@@ -175,7 +177,7 @@ def _lagrangian_cell_sums(ifs, cross):
     sum is its exact negative. Both fans' terms are made at once, the 12
     fan's at [..., 0, :] and the 21 fan's at [..., 1, :]."""
     terms = _cross(ifs.weight) * cross
-    plus, minus = ifs.on * terms, (1.0 - ifs.on) * terms
+    plus, minus = ifs.on * terms, ifs.off * terms
     return (plus[..., 1, :-1] - plus[..., 0, :-1]) + (minus[..., 1, 1:] - minus[..., 0, 1:])
 
 

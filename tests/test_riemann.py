@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from demflow.eos import EosParams, internal_energy, sound_speed
+from demflow.eos import EosParams, eos_columns, internal_energy, sound_speed
 from demflow.errors import SolverError
-from demflow.riemann import exact_rp, hllc, interfacial_decomposition, thermo_state
+from demflow.riemann import ThermoState, exact_rp, hllc, interfacial_decomposition, thermo_state
 from demflow.state import Primitive, prim_to_cons
 
 GAS = EosParams(1.4, 0.0)
@@ -144,16 +144,20 @@ def test_hllc_converges_to_acoustic_for_near_equal_states():
 
 
 
-def four_branch_flux0(left, right):
+def four_branch_sampler(left, right, weight=1.0):
     """Reference HLLC sampler: both star states and both star fluxes built at
-    every interface, then one of four branches kept (the contact at exactly
-    0 takes the left star state)."""
+    every interface, then one of four branches kept by np.where (the contact
+    at exactly 0 takes the left star state). Returns flux0, sigma and p_star,
+    all three 0 at a fan whose contact left its wave fan, which must have
+    weight 0."""
     s_l = np.minimum(left.u - left.a, right.u - right.a)
     s_r = np.maximum(left.u + left.a, right.u + right.a)
     q_l = left.rho * (s_l - left.u)
     q_r = right.rho * (s_r - right.u)
     sigma = (right.p - left.p + left.u * q_l - right.u * q_r) / (q_l - q_r)
     p_star = left.p + q_l * (sigma - left.u)
+    outside = ~((s_l <= sigma) & (sigma <= s_r))
+    assert not np.any(outside & (np.asarray(weight) != 0.0))
 
     def star_flux(side, s, q):
         # F*_K = sigma U*_K + p* [0, 1, sigma]
@@ -162,9 +166,16 @@ def four_branch_flux0(left, right):
                            fac * (side.E + (sigma - side.u) * (sigma + side.p / q))])
         return sigma * u_star + np.stack([np.zeros_like(p_star), p_star, p_star * sigma])
 
-    return np.where(s_l >= 0.0, left.F,
-                    np.where(sigma >= 0.0, star_flux(left, s_l, q_l),
-                             np.where(s_r >= 0.0, star_flux(right, s_r, q_r), right.F)))
+    flux0 = np.where(s_l >= 0.0, left.F,
+                     np.where(sigma >= 0.0, star_flux(left, s_l, q_l),
+                              np.where(s_r >= 0.0, star_flux(right, s_r, q_r), right.F)))
+    return tuple(np.where(outside, 0.0, x) for x in (flux0, sigma, p_star))
+
+
+def assert_matches_four_branch_sampler(fan, left, right, weight=1.0):
+    want = four_branch_sampler(left, right, weight)
+    for got, x in zip((fan.flux0, fan.sigma, fan.p_star), want):
+        assert np.asarray(got).tobytes() == np.asarray(x).tobytes()
 
 
 def concat(*prims):
@@ -199,7 +210,7 @@ def test_hllc_flux0_matches_four_branch_sampler_bitwise():
             assert np.all(fan.s_right[700:] < 0.0)
         star = (fan.s_left < 0.0) & (fan.s_right >= 0.0)
         assert np.any(star & (fan.sigma > 0.0)) and np.any(star & (fan.sigma < 0.0))
-        assert fan.flux0.tobytes() == four_branch_flux0(tl, tr).tobytes()
+        assert_matches_four_branch_sampler(fan, tl, tr)
         # an all-subsonic batch, zero contact speeds included, builds no
         # physical flux and must give the same bits
         sub = thermo_state(Primitive(left.rho[star], left.u[star], left.p[star]), eos_l), \
@@ -207,7 +218,55 @@ def test_hllc_flux0_matches_four_branch_sampler_bitwise():
         fan = hllc(*sub)
         assert np.all(fan.s_left < 0.0) and np.all(fan.s_right >= 0.0)
         assert np.any(fan.sigma == 0.0) == (eos_l is eos_r)
-        assert fan.flux0.tobytes() == four_branch_flux0(*sub).tobytes()
+        assert_matches_four_branch_sampler(fan, *sub)
+
+    # the step's call: both phases' rows (2, n), gas and liquid, as left
+    # (2, 1, m) and right (1, 2, m) records of m = n - 1 interfaces.
+    # Quiescent cells whose round-off velocities flip the contact's sign
+    # between neighbouring fans, as on a large t6 grid:
+    n = 400
+    rho = np.array([rng.uniform(1.0, 1.2, n), rng.uniform(999.0, 1001.0, n)])
+    u = rng.normal(0.0, 1e-12, (2, n))
+    p = 1e5 * (1.0 + 1e-15 * rng.normal(size=(2, n)))
+    # equal cells at rest put the contact at -0.0, liquid pressures +0.0 then
+    # -0.0 put it at +0.0: its sign must survive (which side such a contact
+    # takes does not show in flux0, as both star fluxes agree there)
+    rest = np.array([[1.0, 1.0, 1.0], [1000.0, 1000.0, 1000.0]]), np.zeros((2, 3)), \
+        np.array([[1e5, 1e5, 1e5], [1e5, 0.0, -0.0]])
+    # a gas cell then a liquid cell whose 12 fan's contact lies right of
+    # s_R: that fan gets weight 0
+    beyond_fan = np.array([[16.05, 16.05], [304.6, 304.6]]), \
+        np.array([[-908.0, -908.0], [-139.0, -139.0]]), \
+        np.array([[5.5e5, 5.5e5], [-4.98e8, -4.98e8]])
+    # supersonic cells, flowing right and left
+    fast = rng.uniform(1.0, 2.0, (2, 4)) * [[1.0], [1000.0]], \
+        np.array([[5000.0] * 2 + [-5000.0] * 2] * 2), rng.uniform(1e5, 1e6, (2, 4))
+    rho, u, p = (np.concatenate(x, axis=1) for x in zip((rho, u, p), rest, beyond_fan, fast))
+    rec = thermo_state(Primitive(rho, u, p), eos_columns(GAS, LIQUID, 1))
+    left = ThermoState(*[x[:, None, :-1] for x in rec])
+    right = ThermoState(*[x[None, :, 1:] for x in rec])
+    with pytest.raises(SolverError, match=f"left the wave fan at interface {n + 2}, pairing 12"):
+        hllc(left, right)
+    _, sigma, p_star = four_branch_sampler(left, right, weight=0.0)
+    outside = (sigma == 0.0) & (p_star == 0.0)
+    assert outside[0, 1, n + 3] and not np.any(outside[..., :n - 1])
+    weight = np.where(outside, 0.0, 0.25)
+    fan = hllc(left, right, weight)
+    assert fan.flux0.shape == (3, 2, 2, n + 8)
+    assert_matches_four_branch_sampler(fan, left, right, weight)
+    assert np.mean(np.diff(fan.sigma[..., :n - 1] >= 0.0, axis=-1)) > 0.3
+    zero = fan.sigma == 0.0
+    assert np.any(zero & np.signbit(fan.sigma)) and np.any(zero & ~np.signbit(fan.sigma))
+    assert np.any(fan.s_left > 0.0) and np.any(fan.s_right < 0.0)
+    # 0-d records: contacts right and left of 0, at -0.0, and supersonic
+    for v_l, v_r in ((Primitive(1.0, 20.0, 2e5), Primitive(1.2, 0.0, 1e5)),
+                     (Primitive(1.0, -20.0, 1e5), Primitive(1.2, 0.0, 2e5)),
+                     (Primitive(1.0, 0.0, 1e5), Primitive(1.0, 0.0, 1e5)),
+                     (Primitive(1.0, 4000.0, 1e5), Primitive(1.2, 3000.0, 2e5))):
+        tl, tr = thermo_state(v_l, GAS), thermo_state(v_r, GAS)
+        fan = hllc(tl, tr)
+        assert np.shape(fan.flux0) == (3,) and np.ndim(fan.sigma) == 0
+        assert_matches_four_branch_sampler(fan, tl, tr)
 
 
 def test_hllc_errors_name_interface_and_states():
