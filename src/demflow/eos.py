@@ -10,7 +10,8 @@ nothing; given an inadmissible state they return NaN or a meaningless value.
 
 All functions accept scalars or same-shape numpy arrays. The formulas read
 only gamma and pi_inf, so they also take EosColumns, both phases' parameters
-as columns that broadcast against rows (2, ...) of both phases.
+as columns that broadcast against rows (2, ...) of both phases; the check's
+errors then name the phase too.
 """
 
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidStateError, _prefixed, _require
+from .errors import InvalidStateError, _require
 
 
 @dataclass(frozen=True)
@@ -50,11 +51,10 @@ def _at_cell(bad):
 class EosColumns(NamedTuple):
     """Both phases' gamma and pi_inf as read-only columns of shape
     (2, 1, ...), phase 1 first, which broadcast against rows (2, ...) of both
-    phases; `phases` keeps the two EosParams."""
+    phases."""
 
     gamma: np.ndarray
     pi_inf: np.ndarray
-    phases: tuple
 
 
 @lru_cache(maxsize=None)
@@ -65,7 +65,7 @@ def eos_columns(eos1: EosParams, eos2: EosParams, ndim: int) -> EosColumns:
         col = np.array([getattr(eos1, name), getattr(eos2, name)]).reshape((2,) + (1,) * ndim)
         col.flags.writeable = False
         return col
-    return EosColumns(column("gamma"), column("pi_inf"), (eos1, eos2))
+    return EosColumns(column("gamma"), column("pi_inf"))
 
 
 def _admissible(rho, p, pi_inf):
@@ -85,34 +85,43 @@ def _admissible(rho, p, pi_inf):
     return bool((lowest + pi_inf).min() > 0.0 and q.max() < np.inf)
 
 
+def _raise_first(rules, phased):
+    """Raise InvalidStateError for the first (message, mask) rule whose mask
+    holds, naming its first cell. `phased` masks are rows (2, ...) of both
+    phases, scanned phase 1 first, and the error is prefixed 'phase k: '."""
+    for k in range(2) if phased else (None,):
+        for text, bad in rules:
+            if k is not None:
+                text, bad = f"phase {k + 1}: {text}", bad[k]
+            if bad.any():
+                raise InvalidStateError(text + _at_cell(bad))
+
+
 def _check_admissible(rho, p, eos):
     """The admissibility test: finite rho > 0 and finite p + pi_inf > 0; raises
     InvalidStateError naming the first offending cell. Either may be None to
-    test the other alone (cons_to_prim checks rho before it divides by it).
-    The mask naming the cell is built only for a state that fails.
+    test the other alone (cons_to_prim tests rho before it divides by it).
+    The masks naming the cell are built only for a state that fails.
 
     Given EosColumns, rho and p are rows (2, ...) of both phases (p may be
-    one row that both phases share), tested at once; only a state that fails
-    is scanned phase by phase, phase 1's density and pressure before phase
-    2's, and the error is prefixed 'phase k: '."""
-    if isinstance(eos, EosColumns):
-        if not _admissible(rho, p, eos.pi_inf):
-            shape = np.broadcast_shapes(eos.pi_inf.shape,
-                                        *(np.shape(x) for x in (rho, p) if x is not None))
-            for k, phase_eos in enumerate(eos.phases):
-                with _prefixed(f"phase {k + 1}"):
-                    _check_admissible(*(None if x is None else np.broadcast_to(x, shape)[k, ...]
-                                        for x in (rho, p)), phase_eos)
+    one row that both phases share), tested at once; a state that fails is
+    scanned phase 1's density and pressure before phase 2's, and the error
+    is prefixed 'phase k: '."""
+    if _admissible(rho, p, eos.pi_inf):
         return
-    if not _admissible(rho, None, eos.pi_inf):
+    rules = []
+    if rho is not None:
         r = np.asarray(rho)
-        raise InvalidStateError("non-positive or non-finite density"
-                                + _at_cell(~(np.isfinite(r) & (r > 0.0))))
-    if not _admissible(None, p, eos.pi_inf):
+        rules.append(("non-positive or non-finite density", ~(np.isfinite(r) & (r > 0.0))))
+    if p is not None:
         q = np.asarray(p)
-        raise InvalidStateError(
-            "pressure below stiffened-gas admissibility limit (p + pi_inf <= 0) "
-            "or non-finite pressure" + _at_cell(~(np.isfinite(q) & (q + eos.pi_inf > 0.0))))
+        rules.append(("pressure below stiffened-gas admissibility limit (p + pi_inf <= 0) "
+                      "or non-finite pressure", ~(np.isfinite(q) & (q + eos.pi_inf > 0.0))))
+    phased = np.ndim(eos.pi_inf) > 0
+    if phased:
+        shape = np.broadcast_shapes(eos.pi_inf.shape, *(bad.shape for _, bad in rules))
+        rules = [(text, np.broadcast_to(bad, shape)) for text, bad in rules]
+    _raise_first(rules, phased)
 
 
 def internal_energy(rho, p, eos):

@@ -92,11 +92,11 @@ def hllc(left: ThermoState, right: ThermoState, weight=None, first=0) -> Riemann
     the physical fluxes F_K only at supersonic interfaces (s_L >= 0 or
     s_R < 0). Consistency: hllc(V, V) returns the exact flux.
 
-    The sampled side's q, s, u, E and p are picked with the int64 mask keep,
-    all ones where sigma >= 0 (the contact at exactly 0 takes the left side)
-    and all zeros elsewhere, as right ^ ((left ^ right) & keep) on the bits.
-    This copies every bit, signed zeros included, and costs the same under
-    any pattern of contact signs; np.where under the random signs of a large
+    The sampled side's fields are picked with the int64 mask keep, all ones
+    where sigma >= 0 (the contact at exactly 0 takes the left side) and all
+    zeros elsewhere, as right ^ ((left ^ right) & keep) on the bits. This
+    copies every bit, signed zeros included, and costs the same under any
+    pattern of contact signs; np.where under the random signs of a large
     quiescent grid costs 3-4 times as much.
 
     A contact speed outside [s_L, s_R] raises SolverError, unless `weight`
@@ -140,7 +140,8 @@ def hllc(left: ThermoState, right: ThermoState, weight=None, first=0) -> Riemann
 
     def pick(a, b):
         b = b.view(np.int64)
-        bits = np.bitwise_xor(a.view(np.int64), b)
+        # fan-shaped: a field of both records may broadcast to fewer elements
+        bits = np.bitwise_xor(a.view(np.int64), b, out=np.empty_like(keep))
         bits &= keep
         bits ^= b
         return bits.view(float)
@@ -157,18 +158,12 @@ def hllc(left: ThermoState, right: ThermoState, weight=None, first=0) -> Riemann
     np.add(sigma * (rho_s * sigma), p_star, out=flux0[1, ...])
     np.add(sigma * rhoe_s, p_star * sigma, out=flux0[2, ...])
     # with s_L <= sigma <= s_R, x/t = 0 lies left of the fan where s_L >= 0
-    # and right of it where s_R < 0: there the flux is that side's physical
-    # flux F, evaluated at those interfaces only
+    # and right of it where s_R < 0, the side keep picks: there the flux is
+    # that side's physical flux F, evaluated at those interfaces only
     beyond = np.flatnonzero((s_l >= 0.0) | (s_r < 0.0))
     if beyond.size:
-        shape = np.shape(sigma) or (1,)
-        at = (slice(None),) + np.unravel_index(beyond, shape)
-        # rho, u, p and E, the fields F reads, of each side: stacked on a new
-        # first axis, padded to the fan's dimensions and gathered at once
-        sides = (np.stack(np.broadcast_arrays(s.rho, s.u, s.p, s.E)) for s in (left, right))
-        rho, u, p, E = np.where(np.broadcast_to(s_l, shape)[at[1:]] >= 0.0, *(
-            np.broadcast_to(x.reshape((4,) + (1,) * (len(shape) + 1 - x.ndim) + x.shape[1:]),
-                            (4,) + shape)[at] for x in sides))
+        rho, u, p, E = (x.reshape(-1)[beyond]
+                        for x in (pick(rl, rr), u_s, pick(pl, pr), pick(left.E, right.E)))
         flux0.reshape(3, -1)[:, beyond] = ThermoState(rho, u, p, None, E).F
     if outside is not None:
         flux0 = np.where(outside, 0.0, flux0)

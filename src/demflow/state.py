@@ -20,9 +20,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .eos import (EosColumns, EosParams, _admissible, _at_cell, _check_admissible, eos_columns,
-                  internal_energy, pressure_from_energy)
-from .errors import InvalidStateError, _prefixed
+from .eos import (EosColumns, EosParams, _admissible, _at_cell, _check_admissible, _raise_first,
+                  eos_columns, internal_energy, pressure_from_energy)
+from .errors import InvalidStateError
 
 # saturation condition alpha1 + alpha2 = 1 must hold to this absolute tolerance
 SATURATION_TOL = 1e-12
@@ -119,20 +119,19 @@ def cons_to_prim(c: Conserved, eos: EosParams | EosColumns) -> Primitive:
 
     With EosColumns the fields are rows (2, ...) of both phases, recovered in
     one pass; each test reduces over both phases, and errors name the phase
-    too. A density that fails is scanned phase by phase through the whole
-    recovery, so phase 1's pressure is named before phase 2's density, and
-    no division meets a zero density."""
-    if not isinstance(eos, EosColumns):
-        _check_admissible(c.mass, None, eos)
-    elif not _admissible(c.mass, None, 0.0):
-        for k, phase_eos in enumerate(eos.phases):
-            with _prefixed(f"phase {k + 1}"):
-                cons_to_prim(Conserved(c.mass[k, ...], c.momentum[k, ...], c.energy[k, ...]),
-                             phase_eos)
-    u = c.momentum / c.mass
-    e = c.energy / c.mass - 0.5 * u**2
-    p = pressure_from_energy(c.mass, e, eos)
-    _check_admissible(None, p, eos)
+    too. Where a density fails, a unit state at rest is recovered instead,
+    so no division meets a zero or a non-finite value, and the one check
+    names the first broken rule, phase and cell."""
+    mass, momentum, energy = c.mass, c.momentum, c.energy
+    bad = not _admissible(mass, None, 0.0)
+    if bad:
+        held = np.isfinite(mass) & (mass > 0.0)
+        mass, momentum, energy = (np.where(held, x, unit)
+                                  for x, unit in ((mass, 1.0), (momentum, 0.0), (energy, 1.0)))
+    u = momentum / mass
+    e = energy / mass - 0.5 * u**2
+    p = pressure_from_energy(mass, e, eos)
+    _check_admissible(c.mass if bad else None, p, eos)
     return Primitive(rho=c.mass, u=u, p=p)
 
 
@@ -142,11 +141,7 @@ def _check_fractions(alpha):
     SATURATION_TOL, each one min and one max over both phases. Only a state
     that fails is scanned for the error's first offending phase and cell."""
     if alpha.size and not (alpha.min() >= 0.0 and alpha.max() <= 1.0):
-        for k in range(2):
-            bad = ~((alpha[k] >= 0.0) & (alpha[k] <= 1.0))
-            if bad.any():
-                raise InvalidStateError(f"phase {k + 1}: volume fraction left [0, 1]"
-                                        + _at_cell(bad))
+        _raise_first([("volume fraction left [0, 1]", ~((alpha >= 0.0) & (alpha <= 1.0)))], True)
     alpha1, alpha2 = alpha
     excess = alpha1 + alpha2 - 1.0
     if excess.size and not (excess.min() >= -SATURATION_TOL and excess.max() <= SATURATION_TOL):

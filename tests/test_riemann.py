@@ -269,6 +269,26 @@ def test_hllc_flux0_matches_four_branch_sampler_bitwise():
         assert_matches_four_branch_sampler(fan, tl, tr)
 
 
+def test_hllc_records_whose_fields_broadcast_to_fewer_cells_than_the_fan():
+    # one pressure per side against four interfaces, then one density per
+    # side with supersonic fans: the fan takes the bits of the records
+    # broadcast to its shape
+    u = np.array([0.0, 1.0, -2.0, 3.0])
+    left = Primitive(np.ones(4), u, np.array([1e5]))
+    right = Primitive(0.5 * np.ones(4), u, np.array([2e5]))
+    fan = hllc(thermo_state(left, GAS), thermo_state(right, GAS))
+    assert fan.sigma == pytest.approx([-89.087, -88.087, -91.087, -86.087], abs=1e-3)
+    fast = np.array([0.0, 1.0, -2000.0, 3000.0])
+    for left, right in ((left, right), (Primitive(np.array([1.0]), fast, np.full(4, 1e5)),
+                                        Primitive(np.array([0.5]), fast, np.full(4, 2e5)))):
+        fan = hllc(thermo_state(left, GAS), thermo_state(right, GAS))
+        full = hllc(*(thermo_state(Primitive(*np.broadcast_arrays(v.rho, v.u, v.p)), GAS)
+                      for v in (left, right)))
+        for name in ("flux0", "sigma", "p_star", "s_left", "s_right"):
+            assert getattr(fan, name).tobytes() == getattr(full, name).tobytes()
+    assert fan.s_left[3] > 0.0 and fan.s_right[2] < 0.0
+
+
 def test_hllc_errors_name_interface_and_states():
     # a NaN sound speed crosses the wave speed estimates: a call over
     # interfaces names the first failing one, a scalar call only the states

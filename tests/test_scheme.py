@@ -19,7 +19,8 @@ from demflow.scheme import (Grid1D, boundary_lagrangian, cfl_dt, hyperbolic_step
                             volume_fraction_rhs)
 from demflow.snapshots import snapshot_columns
 from demflow.state import (MixtureCell, PhaseCellState, Primitive, cell_rows,
-                           cons_to_prim, mixture_quantities, prim_to_cons)
+                           cons_to_prim, mixture_quantities, phase_primitives, prim_to_cons)
+from test_state import PRECEDENCE, precedence_rows, rows_cells
 
 GAS = EosParams(1.4, 0.0)
 LIQUID = EosParams(4.4, 6.0e8)
@@ -826,6 +827,20 @@ def test_run_recovers_each_state_once(monkeypatch, name, overrides, per_step):
     run(preset_config(name, overrides))
     assert counts["scheme.hyperbolic_step"] > 10
     assert counts["state.cons_to_prim"] == per_step * counts["scheme.hyperbolic_step"] + 1
+
+
+@pytest.mark.parametrize("case", ["pressure1_before_density2", "density1_before_density2"])
+def test_check_of_a_failing_state_recovers_once(monkeypatch, case):
+    # a state whose density fails is recovered in the same one cons_to_prim
+    # call as a state that passes, and its error still names the first
+    # broken rule, phase and cell
+    edits, message = PRECEDENCE[case]
+    cfg, rows = precedence_rows(edits)
+    counts = count_calls(monkeypatch, ["state.cons_to_prim"])
+    with pytest.raises(InvalidStateError) as info:
+        phase_primitives(rows_cells(rows), cfg.eos1, cfg.eos2)
+    assert str(info.value) == message
+    assert counts["state.cons_to_prim"] == 1
 
 
 @pytest.mark.parametrize("overrides, per_step", [

@@ -51,6 +51,11 @@ def test_round_trip_prim_cons():
 def test_cons_to_prim_rejects_bad_states():
     with pytest.raises(InvalidStateError):
         cons_to_prim(Conserved(-1.0, 0.0, 1.0), GAS)
+    # a zero density, or a blown-up cell, is named, not divided by (a
+    # RuntimeWarning is an error)
+    for bad in (Conserved(0.0, 1.0, 1.0), Conserved(np.inf, np.inf, np.inf)):
+        with pytest.raises(InvalidStateError, match="density"):
+            cons_to_prim(bad, GAS)
     # kinetic energy exceeding total energy gives negative internal energy
     with pytest.raises(InvalidStateError):
         cons_to_prim(Conserved(1.0, 10.0, 1.0), GAS)
@@ -67,6 +72,9 @@ def test_cons_to_prim_rejects_non_finite_states_naming_the_cell():
     with pytest.raises(InvalidStateError, match="pressure at cell 0"):
         cons_to_prim(Conserved(np.ones(2), np.zeros(2),
                                np.array([float("inf"), 2.5e5])), GAS)
+    with pytest.raises(InvalidStateError, match="density at cell 1"):
+        cons_to_prim(Conserved(np.array([1.0, 0.0, 1.0]), np.ones(3),
+                               np.full(3, 2.5e5)), GAS)
 
 
 def mixture(alpha1, v1, v2):
