@@ -15,8 +15,6 @@ where cells enter the program: the config and phase_primitives (the one
 check of a cells object).
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import InvalidStateError
@@ -55,62 +53,3 @@ def convex_quad(alpha_left, alpha_right, r) -> np.ndarray:
     strat *= 1.0 - r
     P += strat
     return P
-
-
-def extract_r(P, alpha_left, alpha_right):
-    """Recover the regime parameter from a consistent quad P:
-    r = (p_kl - max(aL - aR, 0)) / (min(aL, 1 - aR) - max(aL - aR, 0)),
-    with r = 0 by convention when the denominator degenerates to zero."""
-    al, ar = np.asarray(alpha_left), np.asarray(alpha_right)
-    lo = np.maximum(al - ar, 0.0)
-    hi = np.minimum(al, 1.0 - ar)
-    den = hi - lo
-    num = np.asarray(P, dtype=float)[0, 1] - lo
-    r = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
-    return np.clip(r, 0.0, 1.0)
-
-
-@dataclass
-class ConsistencyReport:
-    """Signed violation amounts per condition; <= tol means satisfied, and a
-    NaN amount is a violation."""
-
-    slack: dict = field(default_factory=dict)
-    tol: float = 1e-14
-
-    @property
-    def ok(self) -> bool:
-        return all(v <= self.tol for v in self.slack.values())
-
-    def violations(self) -> dict:
-        return {k: v for k, v in self.slack.items() if not v <= self.tol}
-
-
-def check_consistency(P, alpha_left, alpha_right, tol=1e-14) -> ConsistencyReport:
-    """Evaluate every marginal identity and min/max bound of the quad P;
-    report violations with slack values (maximum over array inputs). An r
-    outside [0, 1] (convex_quad rejects one) shows as a sandwich violation."""
-    al, ar = np.asarray(alpha_left, dtype=float), np.asarray(alpha_right, dtype=float)
-    (kk, kl), (lk, ll) = np.asarray(P, dtype=float)
-
-    def worst(x):
-        return float(np.max(x)) if np.asarray(x).size else 0.0
-
-    slack = {
-        # marginal sums to the adjacent volume fractions, both phase views
-        "marginal_left_k": worst(np.abs(kk + kl - al)),
-        "marginal_right_k": worst(np.abs(kk + lk - ar)),
-        "marginal_left_l": worst(np.abs(ll + lk - (1.0 - al))),
-        "marginal_right_l": worst(np.abs(ll + kl - (1.0 - ar))),
-        "four_way_sum": worst(np.abs(kk + kl + lk + ll - 1.0)),
-        # sandwich bounds for the same-phase and cross-phase coefficients
-        "upper_same": worst(kk - np.minimum(al, ar)),
-        "lower_same": worst(np.maximum(al - (1.0 - ar), 0.0) - kk),
-        "upper_cross": worst(kl - np.minimum(al, 1.0 - ar)),
-        "lower_cross": worst(np.maximum(al - ar, 0.0) - kl),
-        # raw ranges
-        "unit_range": worst(np.maximum.reduce([
-            np.maximum(q - 1.0, -q) for q in (kk, kl, lk, ll)
-        ])),
-    }
-    return ConsistencyReport(slack=slack, tol=tol)

@@ -173,56 +173,3 @@ def _check_validity_bound(a1, a2, dp, d):
                           (-x2, "a1 (p2 - p1) / d"), (x2, "a1 (p1 - p2) / d"))
         raise InvalidStateError(f"outside its validity bound{_at_cell(bad)}: "
                                 f"p1 - p2 = {dp.flat[i]:.9g} Pa, {name} = {ratio:.9g} >= 1")
-
-
-def projection_matrix(cell: MixtureCell, eos1: EosParams, eos2: EosParams) -> np.ndarray:
-    """The 6x8 projection onto the kernel of the linearized relaxation source,
-    evaluated at the cell's state. Maps the primitive 8-vector
-    (alpha1, rho1, u1, p1, alpha2, rho2, u2, p2) to reduced variables.
-    Batched cells give shape (..., 6, 8)."""
-    rows, v, eos = _phases(cell, eos1, eos2)[:3]
-    alpha = rows[:, 0]
-    (c1sq, c2sq), _, d, (m1, m2) = _acoustic_coefficients(alpha, v, eos)
-    (a1, a2), (rho1, rho2) = alpha, v.rho
-    pi = np.zeros(a1.shape + (6, 8))
-    pi[..., 0, 0] = 1.0
-    pi[..., 0, 3] = a1 * a2 / d
-    pi[..., 0, 7] = -a1 * a2 / d
-    pi[..., 1, 1] = 1.0
-    pi[..., 1, 3] = -a2 * rho1 / d
-    pi[..., 1, 7] = a2 * rho1 / d
-    pi[..., 2, 2] = m1 / (m1 + m2)
-    pi[..., 2, 6] = m2 / (m1 + m2)
-    pi[..., 3, 3] = a1 * rho2 * c2sq / d
-    pi[..., 3, 7] = a2 * rho1 * c1sq / d
-    pi[..., 4, 3] = -a1 * a2 / d
-    pi[..., 4, 4] = 1.0
-    pi[..., 4, 7] = a1 * a2 / d
-    pi[..., 5, 3] = a1 * rho2 / d
-    pi[..., 5, 5] = 1.0
-    pi[..., 5, 7] = -a1 * rho2 / d
-    return pi
-
-
-def reduced_jacobian() -> np.ndarray:
-    """Constant 8x6 Jacobian of the map from reduced variables to the
-    primitive 8-vector (the shared u and p fan out to both phases)."""
-    dm = np.eye(8, 6)
-    dm[6, 2] = dm[7, 3] = 1.0
-    return dm
-
-
-def kernel_range_vectors(cell: MixtureCell, eos1: EosParams, eos2: EosParams):
-    """The two primitive-variable directions spanned by the linearized
-    relaxation source; the projection matrix annihilates both.
-    Batched cells give shapes (..., 8)."""
-    rows, v, eos = _phases(cell, eos1, eos2)[:3]
-    alpha = rows[:, 0]
-    (c1sq, c2sq), _, _, _ = _acoustic_coefficients(alpha, v, eos)
-    (a1, a2), (rho1, rho2) = alpha, v.rho
-    zeros = np.zeros_like(a1)
-    v1 = np.stack([np.ones_like(a1), -rho1 / a1, zeros, -rho1 * c1sq / a1,
-                   -np.ones_like(a1), rho2 / a2, zeros, rho2 * c2sq / a2], axis=-1)
-    v2 = np.stack([zeros, zeros, 1.0 / (a1 * rho1), zeros,
-                   zeros, zeros, -1.0 / (a2 * rho2), zeros], axis=-1)
-    return v1, v2

@@ -11,9 +11,7 @@ np.where: at 1e5 cells most contacts are quiescent, their speeds are round-off
 whose sign flips between neighbouring fans, and np.where branches on every
 element of such a mask. Its fan's contact speed sigma and star pressure p*
 give the moving-interface (Lagrangian) flux p* [0, 1, sigma]. exact_rp is
-the iterative exact solver used as an oracle, and interfacial_decomposition
-gives the closed-form acoustic contact speed / pressure split into symmetric
-and antisymmetric parts.
+the iterative exact solver used as an oracle.
 """
 
 from dataclasses import dataclass
@@ -168,43 +166,6 @@ def hllc(left: ThermoState, right: ThermoState, weight=None, first=0) -> Riemann
     if outside is not None:
         flux0 = np.where(outside, 0.0, flux0)
     return RiemannFan(flux0=flux0, sigma=sigma, p_star=p_star, s_left=s_l, s_right=s_r)
-
-
-@dataclass(frozen=True)
-class AcousticInterface:
-    """Closed-form acoustic contact speed and pressure with their symmetric /
-    antisymmetric parts: sigma = sigma_sym - sigma_asym, p_star = p_sym - p_asym."""
-
-    sigma: float | np.ndarray
-    p_star: float | np.ndarray
-    sigma_sym: float | np.ndarray
-    sigma_asym: float | np.ndarray
-    p_sym: float | np.ndarray
-    p_asym: float | np.ndarray
-
-
-def interfacial_decomposition(left: Primitive, right: Primitive,
-                              z_left, z_right) -> AcousticInterface:
-    """Acoustic interfacial quantities for impedances Z:
-    sigma = (Z_L u_L + Z_R u_R)/(Z_L+Z_R) - (p_R - p_L)/(Z_L+Z_R) and
-    p* = (Z_R p_L + Z_L p_R)/(Z_L+Z_R) - Z_L Z_R (u_R - u_L)/(Z_L+Z_R)."""
-    zl = np.asarray(z_left, dtype=float)
-    zr = np.asarray(z_right, dtype=float)
-    zsum = zl + zr
-    if np.any(zsum <= 0.0):
-        raise InvalidStateError("acoustic impedances must have positive sum")
-    sigma_sym = (zl * left.u + zr * right.u) / zsum
-    sigma_asym = (right.p - left.p) / zsum
-    p_sym = (zr * left.p + zl * right.p) / zsum
-    p_asym = zl * zr * (right.u - left.u) / zsum
-    return AcousticInterface(
-        sigma=sigma_sym - sigma_asym,
-        p_star=p_sym - p_asym,
-        sigma_sym=sigma_sym,
-        sigma_asym=sigma_asym,
-        p_sym=p_sym,
-        p_asym=p_asym,
-    )
 
 
 # exact_rp's relative tolerance (pressure step and residual) and iteration cap

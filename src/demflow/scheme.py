@@ -144,17 +144,6 @@ def _interface_block(cells, r, eos, first=0) -> InterfaceFluxSet:
     return InterfaceFluxSet(fan, weight, on, 1.0 - on)
 
 
-def interface_fluxes(grid: Grid1D, regime: RegimeField, eos1, eos2) -> InterfaceFluxSet:
-    """Solve the four phase-pairing Riemann problems at all n + 1 interfaces
-    of the grid and attach the probability coefficients: the step's interface
-    function applied to the whole grid as one block.
-
-    Interface i sits between cells i - 1 and i; the two outer interfaces see
-    a copy of their edge cell (transmissive boundary)."""
-    rows, eos = _step_rows(grid, regime, eos1, eos2)
-    return _interface_block(_block_cells(rows, 0, grid.n_cells), regime.values, eos)
-
-
 def ensemble_flux(ifs: InterfaceFluxSet):
     """Probability-weighted conservative flux per phase at each interface,
     shape (2, 3, m), phase 1 first: phase k's is p_kk F_kk + on_kl p_kl F_kl

@@ -129,7 +129,10 @@ def cons_to_prim(c: Conserved, eos: EosParams | EosColumns) -> Primitive:
         mass, momentum, energy = (np.where(held, x, unit)
                                   for x, unit in ((mass, 1.0), (momentum, 0.0), (energy, 1.0)))
     u = momentum / mass
-    e = energy / mass - 0.5 * u**2
+    # infinite momentum and energy give e = inf - inf: a NaN that the one
+    # check names, not a warning (an error where warnings are errors)
+    with np.errstate(invalid="ignore"):
+        e = energy / mass - 0.5 * u**2
     p = pressure_from_energy(mass, e, eos)
     _check_admissible(c.mass if bad else None, p, eos)
     return Primitive(rho=c.mass, u=u, p=p)

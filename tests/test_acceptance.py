@@ -9,16 +9,15 @@ import numpy as np
 import pytest
 
 from demflow.config import preset_config
-from demflow.probability import check_consistency, convex_quad, extract_r
+from demflow.probability import convex_quad
 from demflow.regime import ConstantRegime, init_field
-from demflow.relaxation import (kernel_range_vectors, projection_matrix,
-                                reduced_jacobian, relax_continuous,
-                                relax_projection)
-from demflow.scheme import (Grid1D, cfl_dt, hyperbolic_step, initial_grid,
-                            interface_fluxes, ensemble_flux, run)
+from demflow.relaxation import relax_continuous, relax_projection
+from demflow.scheme import Grid1D, cfl_dt, hyperbolic_step, initial_grid, ensemble_flux, run
 from demflow.snapshots import OracleSpec, compare_oracle, snapshot_columns, SNAPSHOT_COLUMNS
 from demflow.state import (MixtureCell, PhaseCellState, Primitive, cell_rows,
                            cons_to_prim, prim_to_cons)
+from oracles import (check_consistency, extract_r, interface_fluxes, kernel_range_vectors,
+                     projection_matrix, reduced_jacobian)
 
 EPS = np.finfo(float).eps
 

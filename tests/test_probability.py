@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from demflow.errors import InvalidStateError
-from demflow.probability import check_consistency, convex_quad, extract_r
+from demflow.probability import convex_quad
+from oracles import check_consistency, extract_r
 
 
 def random_triples(n, seed=0):

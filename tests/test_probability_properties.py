@@ -5,7 +5,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demflow.probability import check_consistency, convex_quad
+from demflow.probability import convex_quad
+from oracles import check_consistency
 
 EXTREMES = (0.0, 5e-324, 1e-17, 1.0 - 2**-53, 1.0)
 unit = st.one_of(st.sampled_from(EXTREMES), st.floats(0.0, 1.0))

@@ -11,15 +11,14 @@ from demflow.eos import EosParams
 from demflow.errors import InvalidStateError, SolverError
 from demflow.probability import convex_quad
 from demflow.regime import ConstantRegime, init_field
-from demflow.relaxation import (kernel_range_vectors, projection_matrix, relax_continuous,
-                                relax_projection)
+from demflow.relaxation import relax_continuous, relax_projection
 from demflow.riemann import hllc, thermo_state
 from demflow.scheme import (Grid1D, boundary_lagrangian, cfl_dt, hyperbolic_step,
-                            initial_grid, interface_fluxes, ensemble_flux, run,
-                            volume_fraction_rhs)
+                            initial_grid, ensemble_flux, run, volume_fraction_rhs)
 from demflow.snapshots import snapshot_columns
 from demflow.state import (MixtureCell, PhaseCellState, Primitive, cell_rows,
                            cons_to_prim, mixture_quantities, phase_primitives, prim_to_cons)
+from oracles import interface_fluxes, kernel_range_vectors, projection_matrix
 from test_state import PRECEDENCE, precedence_rows, rows_cells
 
 GAS = EosParams(1.4, 0.0)

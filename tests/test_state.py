@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from demflow import scheme
 from demflow.config import preset_config
-from demflow.eos import EosParams
+from demflow.eos import EosParams, eos_columns
 from demflow.errors import InvalidStateError
 from demflow.relaxation import ReducedEquilibrium, maxwellian
 from demflow.scheme import Grid1D, initial_grid, run
@@ -59,6 +61,20 @@ def test_cons_to_prim_rejects_bad_states():
     # kinetic energy exceeding total energy gives negative internal energy
     with pytest.raises(InvalidStateError):
         cons_to_prim(Conserved(1.0, 10.0, 1.0), GAS)
+    # a cell whose density passes but whose momentum and energy are infinite
+    # recovers inf - inf internal energy: named, not warned about, alone and
+    # behind another phase's bad density
+    inf = np.inf
+    for bad, eos, text in (
+        (Conserved(np.array([1.0, 2.0]), np.array([0.0, inf]), np.array([2.5e5, inf])), GAS,
+         "pressure below stiffened-gas admissibility limit (p + pi_inf <= 0) "
+         "or non-finite pressure at cell 1"),
+        (Conserved(np.array([[0.0, 1.0], [1000.0, 1000.0]]), np.array([[0.0, 0.0], [0.0, inf]]),
+                   np.array([[1.0, 2.5e5], [1e12, inf]])), eos_columns(GAS, LIQUID, 1),
+         "phase 1: non-positive or non-finite density at cell 0"),
+    ):
+        with pytest.raises(InvalidStateError, match=f"^{re.escape(text)}$"):
+            cons_to_prim(bad, eos)
 
 
 def test_cons_to_prim_rejects_non_finite_states_naming_the_cell():

@@ -14,10 +14,10 @@ from demflow.config import preset_config
 from demflow.eos import sound_speed
 from demflow.errors import InvalidStateError
 from demflow.regime import init_field
-from demflow.scheme import (cfl_dt, ensemble_flux, hyperbolic_step, initial_grid,
-                            interface_fluxes, run)
+from demflow.scheme import cfl_dt, ensemble_flux, hyperbolic_step, initial_grid, run
 from demflow.snapshots import SNAPSHOT_COLUMNS, compare_oracle, oracle_from_string, snapshot_columns
 from demflow.state import cell_rows, phase_primitives
+from oracles import interface_fluxes
 
 
 def phase_totals(grid):
