@@ -4,7 +4,7 @@ interpolating stratified and disperse flow regimes, and two infinite-drag
 pressure/velocity relaxation procedures."""
 
 from .config import PRESETS, RunConfig, parse_config, preset_config
-from .eos import EosParams, de_dp, de_drho, internal_energy, pressure_from_energy, sound_speed
+from .eos import EosParams, internal_energy, pressure_from_energy, sound_speed
 from .errors import ConfigError, DemflowError, InvalidStateError, SolverError
 from .probability import convex_quad
 from .regime import (ConstantRegime, PiecewiseRegime, RegimeField,

@@ -1,16 +1,19 @@
-"""Run configuration: line-oriented key=value parsing, validation, and the
-bundled shock-tube experiment presets t1..t6.
+"""Run configuration: line-oriented key=value parsing and the bundled
+shock-tube experiment presets t1..t6.
 
 A config file may name a `preset` and then override any key. All quantities
-are SI (times in seconds). Unknown keys and non-finite numbers are hard
-errors. Errors name the config line or the override they come from.
+are SI (times in seconds). RunConfig checks its own values where it is built,
+as EosParams and the regime policies do, so a config made or replaced in code
+is checked too. The parser reads keys and numbers (unknown keys and
+non-finite numbers are hard errors) and picks the regime policy; every error,
+its own or a value type's, names the config line or override it comes from.
 """
 
 import math
 from dataclasses import dataclass
 
 from .eos import EosParams, _check_admissible
-from .errors import ConfigError, DemflowError
+from .errors import ConfigError, DemflowError, InvalidStateError, _require
 from .regime import (ConstantRegime, PiecewiseRegime, StochasticRegime,
                      UniformRandomRegime, check_breakpoints)
 from .state import SATURATION_TOL
@@ -35,6 +38,11 @@ class PhaseSideInit:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One experiment: domain, grid, end time, both phases' EOS and initial
+    states, relaxation mode, regime policy and outputs. It checks its values
+    where it is built; an error's `field` is the config key the failing rule
+    reads."""
+
     x_min: float
     x_max: float
     n_cells: int
@@ -52,6 +60,33 @@ class RunConfig:
     snapshot_times: tuple = ()
     seed: int = 0
     output: str | None = None
+
+    def __post_init__(self):
+        _require(self.x_max > self.x_min, ConfigError, "x_max", "x_max must exceed x_min")
+        _require(self.n_cells >= 3, ConfigError, "n_cells", "n_cells must be at least 3")
+        _require(self.t_end >= 0.0, ConfigError, "t_end", "t_end must be non-negative")
+        _require(0.0 < self.cfl <= 1.0, ConfigError, "cfl", "cfl must lie in (0, 1]")
+        _require(self.x_min < self.diaphragm < self.x_max, ConfigError, "diaphragm",
+                 "diaphragm must lie inside the domain")
+        for prefix, phase in (("left", 1), ("left", 2), ("right", 1), ("right", 2)):
+            init, eos = getattr(self, f"{prefix}{phase}"), getattr(self, f"eos{phase}")
+            key = f"{prefix}_alpha{phase}"
+            _require(EPS_VF <= init.alpha <= 1.0 - EPS_VF, ConfigError, key,
+                     f"{key} must lie in [{EPS_VF:g}, {1.0 - EPS_VF:g}]")
+            for q, rho, p in (("rho", init.rho, None), ("p", None, init.p)):
+                try:
+                    _check_admissible(rho, p, eos)
+                except InvalidStateError as exc:
+                    _require(False, ConfigError, f"{prefix}_{q}{phase}",
+                             f"{prefix} phase {phase} state inadmissible: {exc}")
+        for prefix, a, b in (("left", self.left1, self.left2), ("right", self.right1, self.right2)):
+            _require(abs(a.alpha + b.alpha - 1.0) <= SATURATION_TOL, ConfigError,
+                     f"{prefix}_alpha1", f"{prefix} volume fractions do not saturate")
+        _require(self.relaxation in RELAXATION_MODES, ConfigError, "relaxation",
+                 f"relaxation must be one of {RELAXATION_MODES}")
+        for s in self.snapshot_times:
+            _require(0.0 <= s <= self.t_end, ConfigError, "snapshots",
+                     f"snapshot time {s:g} outside [0, t_end]")
 
 
 # left_alpha1, left_rho1, left_u1, left_p1, left_alpha2, ..., right_p2
@@ -153,60 +188,23 @@ def _build(entries) -> RunConfig:
     diaphragm = take("diaphragm", float, 0.0)
     seed = take("seed", int, 0)
 
-    if not x_max > x_min:
-        raise ConfigError("x_max must exceed x_min", origin("x_max"))
-    if n_cells < 3:
-        raise ConfigError("n_cells must be at least 3", origin("n_cells"))
-    if t_end < 0.0:
-        raise ConfigError("t_end must be non-negative", origin("t_end"))
-    if not 0.0 < cfl <= 1.0:
-        raise ConfigError("cfl must lie in (0, 1]", origin("cfl"))
-    if not x_min < diaphragm < x_max:
-        raise ConfigError("diaphragm must lie inside the domain", origin("diaphragm"))
-
     def built(kind, keys, label=None, **values):
         """kind(**values); a check's error names the line or override of the
-        key (keys: field -> key) its rule reads, then `label`."""
+        key its rule reads (keys: field -> key; an unmapped field is the key
+        itself), then `label`."""
         try:
             return kind(**values)
         except DemflowError as exc:
             raise ConfigError(f"{label}: {exc}" if label else str(exc),
-                              origin(keys[exc.field])) from exc
+                              origin(keys.get(exc.field, exc.field))) from exc
 
     eos1, eos2 = (built(EosParams, {"gamma": f"gamma{k}", "pi_inf": f"pi_inf{k}"}, f"phase {k}",
                         gamma=take(f"gamma{k}", float), pi_inf=take(f"pi_inf{k}", float))
                   for k in (1, 2))
-
-    def side(prefix, phase, eos):
-        init = PhaseSideInit(
-            alpha=take(f"{prefix}_alpha{phase}", float),
-            rho=take(f"{prefix}_rho{phase}", float),
-            u=take(f"{prefix}_u{phase}", float),
-            p=take(f"{prefix}_p{phase}", float),
-        )
-        key = f"{prefix}_alpha{phase}"
-        if not EPS_VF <= init.alpha <= 1.0 - EPS_VF:
-            raise ConfigError(f"{key} must lie in [{EPS_VF:g}, {1.0 - EPS_VF:g}]", origin(key))
-        for q, rho, p in (("rho", init.rho, None), ("p", None, init.p)):
-            try:
-                _check_admissible(rho, p, eos)
-            except DemflowError as exc:
-                raise ConfigError(f"{prefix} phase {phase} state inadmissible: {exc}",
-                                  origin(f"{prefix}_{q}{phase}")) from exc
-        return init
-
-    left1 = side("left", 1, eos1)
-    left2 = side("left", 2, eos2)
-    right1 = side("right", 1, eos1)
-    right2 = side("right", 2, eos2)
-    for prefix, a, b in (("left", left1, left2), ("right", right1, right2)):
-        if abs(a.alpha + b.alpha - 1.0) > SATURATION_TOL:
-            raise ConfigError(f"{prefix} volume fractions do not saturate",
-                              origin(f"{prefix}_alpha1"))
-
+    left1, left2, right1, right2 = (
+        PhaseSideInit(*(take(f"{side}_{q}{phase}", float) for q in ("alpha", "rho", "u", "p")))
+        for side in ("left", "right") for phase in (1, 2))
     relaxation = take("relaxation", str, "none")
-    if relaxation not in RELAXATION_MODES:
-        raise ConfigError(f"relaxation must be one of {RELAXATION_MODES}", origin("relaxation"))
 
     regime = take("regime", str, "constant")
     if regime not in REGIME_MODES:
@@ -233,19 +231,11 @@ def _build(entries) -> RunConfig:
     else:
         policy = built(UniformRandomRegime, {"seed": "seed"}, seed=seed)
 
-    snapshot_times = take("snapshots", float_list, ())
-    for s in snapshot_times:
-        if not 0.0 <= s <= t_end:
-            raise ConfigError(f"snapshot time {s:g} outside [0, t_end]", origin("snapshots"))
-
-    return RunConfig(
-        x_min=x_min, x_max=x_max, n_cells=n_cells, t_end=t_end,
-        eos1=eos1, eos2=eos2,
-        left1=left1, left2=left2, right1=right1, right2=right2,
-        cfl=cfl, diaphragm=diaphragm, relaxation=relaxation,
-        regime_policy=policy, snapshot_times=tuple(snapshot_times),
-        seed=seed, output=take("output", str, None),
-    )
+    return built(RunConfig, {}, x_min=x_min, x_max=x_max, n_cells=n_cells, t_end=t_end,
+                 eos1=eos1, eos2=eos2, left1=left1, left2=left2, right1=right1, right2=right2,
+                 cfl=cfl, diaphragm=diaphragm, relaxation=relaxation, regime_policy=policy,
+                 snapshot_times=take("snapshots", float_list, ()), seed=seed,
+                 output=take("output", str, None))
 
 
 # gas phase 1 (gamma=1.4, pi=0) against water-like phase 2 (gamma=4.4, pi=6e8)

@@ -10,7 +10,7 @@ PUBLIC = {
     "PRESETS", "RunConfig", "parse_config", "preset_config",
     "ConfigError", "DemflowError", "InvalidStateError", "SolverError",
     # eos, state, probability
-    "EosParams", "de_dp", "de_drho", "internal_energy", "pressure_from_energy", "sound_speed",
+    "EosParams", "internal_energy", "pressure_from_energy", "sound_speed",
     "Conserved", "MixtureCell", "PhaseCellState", "Primitive",
     "cell_rows", "cons_to_prim", "mixture_quantities", "prim_to_cons",
     "convex_quad",

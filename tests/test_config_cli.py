@@ -1,13 +1,14 @@
 import io
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from demflow import snapshots
+from demflow import scheme, snapshots
 from demflow.cli import main
-from demflow.config import (EPS_VF, PhaseSideInit, available_presets,
+from demflow.config import (EPS_VF, RELAXATION_MODES, PhaseSideInit, available_presets,
                             parse_config, preset_config)
 from demflow.errors import ConfigError
 from demflow.regime import ConstantRegime, PiecewiseRegime, StochasticRegime
@@ -92,6 +93,35 @@ def test_config_rejects_non_finite_numbers_naming_the_override(preset, override)
 def test_value_type_errors_name_the_override(preset, override):
     with pytest.raises(ConfigError, match=f"^override {re.escape(override)}: "):
         preset_config(preset, [override])
+
+
+# a RunConfig checks its values where it is built, as the policies do, so a
+# config replaced in code is checked too: each of these once ran, or failed
+# in `run` with a bare KeyError. The error's field is the config key the
+# rule reads, and its text has no origin
+@pytest.mark.parametrize("change, key, message", [
+    ({"relaxation": "bogus"}, "relaxation",
+     "relaxation must be one of ('none', 'continuous', 'projection')"),
+    ({"cfl": 5.0}, "cfl", "cfl must lie in (0, 1]"),
+    ({"n_cells": 2}, "n_cells", "n_cells must be at least 3"),
+    ({"t_end": -1.0}, "t_end", "t_end must be non-negative"),
+    ({"diaphragm": 5.0}, "diaphragm", "diaphragm must lie inside the domain"),
+    ({"snapshot_times": (-1.0,)}, "snapshots", "snapshot time -1 outside [0, t_end]"),
+    ({"left2": PhaseSideInit(0.0, 1000.0, 0.0, 1e9)}, "left_alpha2",
+     "left_alpha2 must lie in [1e-06, 0.999999]"),
+    ({"right1": PhaseSideInit(0.5, -50.0, 0.0, 1e5)}, "right_rho1",
+     "right phase 1 state inadmissible: non-positive or non-finite density"),
+], ids=["relaxation", "cfl", "n_cells", "t_end", "diaphragm", "snapshots", "alpha", "density"])
+def test_run_config_rejects_bad_values_where_it_is_built(change, key, message):
+    with pytest.raises(ConfigError) as info:
+        replace(preset_config("t1_uniform_vf"), **change)
+    assert str(info.value) == message
+    assert info.value.field == key
+
+
+def test_every_relaxation_mode_has_a_relaxer():
+    # run looks the relaxer up by mode, so a checked config cannot miss it
+    assert tuple(scheme._RELAXERS) == RELAXATION_MODES
 
 
 def test_config_rejects_non_finite_numbers_naming_the_line():

@@ -1,10 +1,13 @@
+import os
 import re
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import demflow
 from demflow import scheme, state
 from demflow.config import preset_config
 from demflow.eos import EosParams
@@ -867,6 +870,43 @@ def test_run_calls_cfl_step_and_relaxer_once_per_step(monkeypatch, relaxation):
     assert counts["scheme.cfl_dt"] == steps
     for mode in ("continuous", "projection"):
         assert counts[mode] == (steps if mode == relaxation else 0)
+
+
+def demflow_calls(cfg):
+    """Calls of functions whose code lives in the demflow package ("call"
+    events of sys.setprofile) during run(cfg): (all, of hyperbolic_step)."""
+    package = os.path.dirname(demflow.__file__) + os.sep
+    step = scheme.hyperbolic_step.__code__
+    counts = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            counts[frame.f_code is step] += 1
+
+    sys.setprofile(profile)
+    try:
+        run(cfg)
+    finally:
+        sys.setprofile(None)
+    return counts[False] + counts[True], counts[True]
+
+
+# the step's Python calls, pinned: a per-call regression too small for the
+# timed benchmark shows here exactly. The count per step is the difference
+# of two run lengths, so set-up drops out, and a first run fills
+# eos_columns' cache. The counts are CPython 3.11's, which CI runs: they
+# include 4 list comprehensions per step, which 3.12 inlines (PEP 709)
+@pytest.mark.parametrize("relaxation, per_step", [
+    ("none", 56), ("continuous", 90), ("projection", 92),
+])
+def test_step_makes_a_pinned_number_of_python_calls(relaxation, per_step):
+    cfg = preset_config("t1_uniform_vf", ["n_cells=100", "regime_r=0.3",
+                                          f"relaxation={relaxation}"])
+    run(replace(cfg, t_end=2e-5))
+    calls, steps = demflow_calls(replace(cfg, t_end=2e-5))
+    more_calls, more_steps = demflow_calls(replace(cfg, t_end=4e-5))
+    assert more_steps > steps > 0
+    assert more_calls - calls == per_step * (more_steps - steps)
 
 
 def unsaturated_grid():
