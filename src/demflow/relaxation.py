@@ -101,12 +101,15 @@ def _continuous_equilibrium(cell, eos1, eos2) -> ReducedEquilibrium:
     m = alpha * v.rho
     mu = m * v.u
     u_star = (mu[0] + mu[1]) / (m[0] + m[1])
-    E = v.rho * (internal_energy(v.rho, v.p, eos) + 0.5 * (u_star - v.u) ** 2)
-    g, pi = eos.gamma, eos.pi_inf
-    pi1, pi2 = eos1.pi_inf, eos2.pi_inf
+    # solved in P = p + s, s the smaller pi_inf: pi_k and E_k enter less s,
+    # so a root near the floor P = 0 is not rounded to an ulp of p
+    s = min(eos1.pi_inf, eos2.pi_inf)
+    E = v.rho * (internal_energy(v.rho, v.p, eos) + 0.5 * (u_star - v.u) ** 2) - s
+    g, pi = eos.gamma, eos.pi_inf - s
+    pi1, pi2 = eos1.pi_inf - s, eos2.pi_inf - s
     c = alpha * (g - 1.0) / g
 
-    # c1 (E1 + p)/(p + pi1) + c2 (E2 + p)/(p + pi2) = 1 times (p + pi1)(p + pi2)
+    # c1 (E1 + P)/(P + pi1) + c2 (E2 + P)/(P + pi2) = 1 times (P + pi1)(P + pi2)
     qa = 1.0 - c[0] - c[1]
     cross = c * (E + pi[::-1])
     qb = pi1 + pi2 - cross[0] - cross[1]
@@ -123,11 +126,11 @@ def _continuous_equilibrium(cell, eos1, eos2) -> ReducedEquilibrium:
             f"{_at_cell(bad)}; (alpha1, rho1, u1, p1, alpha2, rho2, u2, p2) = ({state})")
     # the larger root, without cancellation between qb and sqrt(disc)
     q = -0.5 * (qb + np.where(qb < 0.0, -1.0, 1.0) * np.sqrt(disc))
-    p = np.where(qb < 0.0, q / qa, qc / q)
-    r = v.rho * g * (p + pi) / ((g - 1.0) * (E + p))
+    P = np.where(qb < 0.0, q / qa, qc / q)
+    r = v.rho * g * (P + pi) / ((g - 1.0) * (E + P))
     a = m / r
 
-    return ReducedEquilibrium(alpha1=a[0], rho1=r[0], u=u_star, p=p, alpha2=a[1], rho2=r[1])
+    return ReducedEquilibrium(alpha1=a[0], rho1=r[0], u=u_star, p=P - s, alpha2=a[1], rho2=r[1])
 
 
 def relax_projection(cell: MixtureCell, eos1: EosParams, eos2: EosParams) -> MixtureCell:

@@ -10,8 +10,11 @@ interfaces. It picks the side sampled at x/t = 0 by a bit mask, not by
 np.where: at 1e5 cells most contacts are quiescent, their speeds are round-off
 whose sign flips between neighbouring fans, and np.where branches on every
 element of such a mask. Its fan's contact speed sigma and star pressure p*
-give the moving-interface (Lagrangian) flux p* [0, 1, sigma]. exact_rp is
-the iterative exact solver used as an oracle.
+give the moving-interface (Lagrangian) flux p* [0, 1, sigma].
+
+exact_rp is the exact solver used as an oracle. It runs one safeguarded
+Newton search in x = p + s, s the smaller pi_inf of the two sides, so x = 0
+is the vacuum floor, on a bracket [0, hi] whose end hi has a closed form.
 """
 
 from dataclasses import dataclass
@@ -168,21 +171,24 @@ def hllc(left: ThermoState, right: ThermoState, weight=None, first=0) -> Riemann
     return RiemannFan(flux0=flux0, sigma=sigma, p_star=p_star, s_left=s_l, s_right=s_r)
 
 
-# exact_rp's relative tolerance (pressure step and residual) and iteration cap
+# exact_rp's relative tolerance on its Newton step, and iteration cap
 _TOL, _MAX_ITER = 1e-10, 100
 
 
 class _Side:
-    """Per-side constants of the exact solver, in shifted-pressure form
-    (every pressure enters as p + pi_inf, which reduces the stiffened gas to
-    an ideal gas for the wave relations)."""
+    """Per-side constants of the exact solver. Its wave relations take
+    x = p + s, the pressure above the vacuum floor -s of the side with the
+    smaller pi_inf; at x this side's shifted pressure p + pi_inf is x + d,
+    d = pi_inf - s >= 0, which reduces the stiffened gas to an ideal gas."""
 
-    def __init__(self, prim: Primitive, eos: EosParams):
+    def __init__(self, prim: Primitive, eos: EosParams, s: float):
         self.rho = float(prim.rho)
         self.u = float(prim.u)
         self.p = float(prim.p)
         self.gamma = eos.gamma
         self.pi = eos.pi_inf
+        self.d = self.pi - s
+        self.x = self.p + s
         self.pbar = self.p + self.pi
         self.a = float(sound_speed(self.rho, self.p, eos))
         g = self.gamma
@@ -190,18 +196,18 @@ class _Side:
         self.B = (g - 1.0) / (g + 1.0) * self.pbar
         self.exp = (g - 1.0) / (2.0 * g)
 
-    def f(self, p):
-        """Velocity change across the wave connecting this side to pressure p."""
-        pbar = p + self.pi
-        if p > self.p:
-            return (p - self.p) * np.sqrt(self.A / (pbar + self.B))
+    def f(self, x):
+        """Velocity change across the wave connecting this side to x = p + s."""
+        pbar = x + self.d
+        if x > self.x:
+            return (x - self.x) * np.sqrt(self.A / (pbar + self.B))
         return 2.0 * self.a / (self.gamma - 1.0) * ((pbar / self.pbar) ** self.exp - 1.0)
 
-    def df(self, p):
-        pbar = p + self.pi
-        if p > self.p:
+    def df(self, x):
+        pbar = x + self.d
+        if x > self.x:
             root = np.sqrt(self.A / (pbar + self.B))
-            return root * (1.0 - 0.5 * (p - self.p) / (pbar + self.B))
+            return root * (1.0 - 0.5 * (x - self.x) / (pbar + self.B))
         return (pbar / self.pbar) ** (-(self.gamma + 1.0) / (2.0 * self.gamma)) \
             / (self.rho * self.a)
 
@@ -270,79 +276,81 @@ class ExactRiemannSolution:
 
 
 def _two_rarefaction_guess(sl: _Side, sr: _Side, du):
+    """The root x of the pressure function if both waves were rarefactions
+    with the mean gamma, or None where that form has none."""
     g = 0.5 * (sl.gamma + sr.gamma)
     z = (g - 1.0) / (2.0 * g)
-    pi_mean = 0.5 * (sl.pi + sr.pi)
     num = sl.a + sr.a - 0.5 * (g - 1.0) * du
     if num <= 0.0:
         return None
     den = sl.a / sl.pbar**z + sr.a / sr.pbar**z
-    return (num / den) ** (1.0 / z) - pi_mean
+    return (num / den) ** (1.0 / z) - 0.5 * (sl.d + sr.d)
 
 
 def exact_rp(left: Primitive, right: Primitive, eos_left: EosParams,
              eos_right: EosParams) -> ExactRiemannSolution:
     """Exact Riemann solver with per-side stiffened-gas parameters.
 
-    Newton iteration on the monotone pressure function (shock and rarefaction
-    branches per side), started from a two-rarefaction estimate and safeguarded
-    by bisection on a bracketing interval. An inadmissible side or a
-    non-finite velocity raises InvalidStateError naming the side; vacuum
-    formation (no root with both shifted pressures positive) raises SolverError.
+    Newton iteration on the pressure function f_L + f_R + du (shock and
+    rarefaction branches per side; Toro, Riemann Solvers and Numerical
+    Methods for Fluid Dynamics, ch. 4), which rises and is concave in
+    x = p + s, s the smaller pi_inf, so x = 0 is the vacuum floor. Newton
+    starts from a two-rarefaction estimate and is safeguarded by bisection on
+    the bracket [0, hi], whose end hi has a closed form: above the higher
+    side pressure x_k both waves are shocks, and side k's shock alone makes
+    up the shortfall -f(x_k) within the root h of a quadratic, so f > 0 at
+    x_k + 2 h. The step is tested against the tolerance, relative to x,
+    before the safeguard. p_star is reported unshifted, as x - s.
+
+    An inadmissible side or a non-finite velocity raises InvalidStateError
+    naming the side; vacuum formation (f >= 0 at x = 0, no root with both
+    shifted pressures positive) raises SolverError.
     """
     for side, v, eos in (("left", left, eos_left), ("right", right, eos_right)):
         with _prefixed(f"{side} state"):
             _check_admissible(v.rho, v.p, eos)
             _require(np.isfinite(v.u), InvalidStateError, "u",
                      f"non-finite velocity, got {v.u}")
-    sl = _Side(left, eos_left)
+    s = min(eos_left.pi_inf, eos_right.pi_inf)
+    sl = _Side(left, eos_left, s)
     # the right side mirrored: the right wave of (rho_R, u_R, p_R) is the left
     # wave of (rho_R, -u_R, p_R) under xi -> -xi; f and df do not read u
-    sr = _Side(Primitive(right.rho, -np.asarray(right.u, dtype=float), right.p), eos_right)
+    sr = _Side(Primitive(right.rho, -np.asarray(right.u, dtype=float), right.p), eos_right, s)
     du = -sr.u - sl.u
     scale = max(sl.a, sr.a, abs(du), 1e-30)
 
-    p_floor = -min(sl.pi, sr.pi)
+    def f_total(x):
+        return sl.f(x) + sr.f(x) + du
 
-    def f_total(p):
-        return sl.f(p) + sr.f(p) + du
-
-    if f_total(p_floor) >= 0.0:
+    if f_total(0.0) >= 0.0:
         raise SolverError("exact Riemann problem forms vacuum (no positive root)")
 
-    lo = p_floor
-    hi = max(sl.p, sr.p)
-    grow = max(hi - p_floor, sl.pbar, sr.pbar)
-    for _ in range(200):
-        if f_total(hi) > 0.0:
-            break
-        grow *= 2.0
-        hi = p_floor + grow
-    else:
-        raise SolverError("exact Riemann solver failed to bracket the root")
+    # f_total(x_k + h) >= f_k(x_k + h) - need, and f_k(x_k + h) = need at the
+    # root h of A h^2 = need^2 (h + pbar_k + B_k); f_k(x_k + 2 h) > need
+    k = max(sl, sr, key=lambda side: side.x)
+    need = -f_total(k.x)
+    lo, hi = 0.0, k.x
+    if need >= 0.0:
+        hi += need * (need + np.sqrt(need * need + 4.0 * k.A * (k.pbar + k.B))) / k.A
 
-    guess = _two_rarefaction_guess(sl, sr, du)
-    span = hi - lo
-    p = guess if guess is not None and lo + 1e-12 * span < guess < hi else 0.5 * (lo + hi)
-
+    x = _two_rarefaction_guess(sl, sr, du)
+    if x is None or not 0.0 < x < hi:
+        x = 0.5 * hi
     for iterations in range(1, _MAX_ITER + 1):
-        fp = f_total(p)
-        if fp > 0.0:
-            hi = p
+        fx = f_total(x)
+        if fx > 0.0:
+            hi = x
         else:
-            lo = p
-        dfp = sl.df(p) + sr.df(p)
-        p_new = p - fp / dfp if dfp > 0.0 else 0.5 * (lo + hi)
-        if not lo < p_new < hi:
-            p_new = 0.5 * (lo + hi)
-        dp = abs(p_new - p)
-        p = p_new
-        if dp <= _TOL * max(p - p_floor, 1e-300) and abs(f_total(p)) <= _TOL * scale:
+            lo = x
+        x_new = x - fx / (sl.df(x) + sr.df(x))
+        if abs(x_new - x) <= _TOL * x_new:
+            x = x_new
             break
+        x = x_new if lo < x_new < hi else 0.5 * (lo + hi)
     else:
         raise SolverError(f"exact Riemann solver did not converge in {_MAX_ITER} iterations")
 
-    u_star = 0.5 * (sl.u - sr.u) + 0.5 * (sr.f(p) - sl.f(p))
-    return ExactRiemannSolution(sl, sr, p_star=p, u_star=u_star,
-                                residual=abs(f_total(p)) / scale,
+    u_star = 0.5 * (sl.u - sr.u) + 0.5 * (sr.f(x) - sl.f(x))
+    return ExactRiemannSolution(sl, sr, p_star=x - s, u_star=u_star,
+                                residual=abs(f_total(x)) / scale,
                                 iterations=iterations)

@@ -521,6 +521,17 @@ def test_cli_sweep_r_rejects_value_outside_unit_range_before_running(tmp_path, c
     assert not list(tmp_path.glob("sw*"))
 
 
+def test_cli_riemann_root_at_the_vacuum_floor(capsys):
+    # the root lies within one ulp of p = -pi_inf, where p + pi_inf once
+    # rounded to 0 and the solver divided by it; p_star is printed unshifted
+    assert main(["riemann", "5.329331647529146,14.639356077712705,-3399787.0384708224",
+                 "1687.1826849977053,71.05639381824369,-3399448.3051563883",
+                 "--gamma-left", "1.2525141995526747", "--pi-left", "3.4e6",
+                 "--gamma-right", "2.1803300503362157", "--pi-right", "3.4e6"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("p_star = -3400000\n") and err == ""
+
+
 def test_cli_riemann_rejects_unparsable_sample(capsys):
     assert main(["riemann", "1,0,1", "0.125,0,0.1", "--sample", "0,x"]) == 1
     out, err = capsys.readouterr()

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from demflow.errors import InvalidStateError
 from demflow.relaxation import ReducedEquilibrium, maxwellian, relax_continuous, relax_projection
 from demflow.scheme import run
 from demflow.state import (Conserved, MixtureCell, PhaseCellState, Primitive,
-                           cons_to_prim, mixture_quantities, phase_primitives,
+                           cell_rows, cons_to_prim, mixture_quantities, phase_primitives,
                            prim_to_cons, validate_mixture)
 from oracles import kernel_range_vectors, projection_matrix, reduced_jacobian
 
@@ -135,16 +137,33 @@ def test_deep_tension_cell_is_admissible():
     validate_mixture(*deep_tension_cell())
 
 
-# the Newton root p* is carried unshifted: one ulp of p* ~ -3.4e6 Pa is
-# 5.6e-12 of p* + pi_2, and the relaxed fractions, which scale with
-# p + pi_inf (0.09 / 0.012 Pa here), miss saturation by 1.09e-12, above
-# SATURATION_TOL. A root in shifted pressure would mend it but moves the
-# bits of every continuous-relaxation run
-@pytest.mark.xfail(strict=True, raises=InvalidStateError,
-                   reason="relax_continuous breaks saturation in deep tension")
+# the relaxed fractions scale with p + pi_inf (0.09 / 0.012 Pa here): a root
+# carried as unshifted p, whose ulp near -3.4e6 Pa is 5.6e-12 of p + pi_2,
+# missed saturation by 1.09e-12, above SATURATION_TOL
 def test_relax_continuous_keeps_saturation_in_deep_tension():
     cell, eos1, eos2 = deep_tension_cell()
     validate_mixture(relax_continuous(cell, eos1, eos2), eos1, eos2)
+
+
+def test_relax_continuous_pins_its_bits_with_both_pi_inf_positive():
+    # every preset pairs an ideal gas with the liquid, so its pressure root
+    # is shifted by min(pi_1, pi_2) = 0 and no golden hash covers a shift
+    # s > 0. These cells, from 1e3 Pa above -pi_inf up, pin its bits (taken
+    # with numpy 2.4.6, as the golden hashes)
+    eos1, eos2 = EosParams(3.0, 3e7), EosParams(2.85, 3.4e6)
+    rng = np.random.default_rng(31)
+    n = 200
+    alpha1 = rng.uniform(0.05, 0.95, n)
+    v1 = Primitive(rng.uniform(500.0, 1500.0, n), rng.uniform(-50.0, 50.0, n),
+                   10.0 ** rng.uniform(3.0, 8.0, n) - 3e7)
+    v2 = Primitive(rng.uniform(1e-3, 10.0, n), rng.uniform(-50.0, 50.0, n),
+                   10.0 ** rng.uniform(3.0, 8.0, n) - 3.4e6)
+    cell = MixtureCell(PhaseCellState(alpha1, prim_to_cons(v1, eos1)),
+                       PhaseCellState(1.0 - alpha1, prim_to_cons(v2, eos2)))
+    out = relax_continuous(cell, eos1, eos2)
+    validate_mixture(out, eos1, eos2)
+    assert hashlib.sha256(cell_rows(out).tobytes()).hexdigest() == \
+        "0156cbcd11ecea328bb3b5c3c9895bb5d6e3f30f40b725ea76a9b23c18eb1ace"
 
 
 def test_relax_continuous_postconditions_on_random_cells():

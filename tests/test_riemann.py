@@ -389,6 +389,8 @@ def test_exact_sod_star_values():
     assert sol.p_star == pytest.approx(0.30313, rel=1e-4)
     assert sol.u_star == pytest.approx(0.92745, rel=1e-4)
     assert sol.residual < 1e-10
+    # the correctly rounded root (mpmath: 0.30313017805064683...)
+    assert sol.p_star == pytest.approx(0.30313017805064683, rel=1e-13)
 
 
 def rankine_hugoniot_residual(sol, side, eos):
@@ -460,3 +462,22 @@ def test_exact_rarefaction_isentrope():
 def test_exact_vacuum_detected():
     with pytest.raises(SolverError, match="vacuum"):
         exact_rp(Primitive(1.0, -2000.0, 1e5), Primitive(1.0, 2000.0, 1e5), GAS, GAS)
+
+
+def test_exact_root_just_above_the_vacuum_floor():
+    # the root lies 8.98e-4 Pa above p = -1e5, between two adjacent float64
+    # values of p: it is found in x = p + 1e5 (mpmath root 8.9780210045e-4)
+    sol = exact_rp(Primitive(105.204654, -128.477371, -3399565.45),
+                   Primitive(0.255085629, 53.9695157, -99037.9759),
+                   EosParams(1.8663293467473037, 3.4e6), EosParams(1.3674357412999938, 1e5))
+    assert sol.p_star + 1e5 == pytest.approx(8.9780210045e-4, rel=1e-6)
+    assert sol.residual <= 1e-10
+
+
+def test_exact_contact_in_deep_tension_is_returned_exactly():
+    # equal p and u, 1.67 Pa above -pi_inf: the root is the bracket's end
+    eos = EosParams(1.3048018206580425, 3.4e6)
+    p, u = -3399998.33081786, 179.8114577603879
+    sol = exact_rp(Primitive(56.81075526972012, u, p), Primitive(2.2040416447365105, u, p),
+                   eos, eos)
+    assert sol.p_star == p and sol.u_star == u

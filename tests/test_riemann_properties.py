@@ -1,5 +1,6 @@
-"""Property tests of hllc over drawn admissible stiffened-gas states: near-vacuum
-densities, strong pressures and water in tension (p < 0 < p + pi_inf)."""
+"""Property tests of hllc and exact_rp over drawn admissible stiffened-gas
+states: near-vacuum densities, strong pressures and water in tension
+(p < 0 < p + pi_inf)."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from demflow.eos import EosParams
 from demflow.errors import SolverError
-from demflow.riemann import hllc, thermo_state
+from demflow.riemann import exact_rp, hllc, thermo_state
 from demflow.state import Primitive, prim_to_cons
 
 GAS = EosParams(1.4, 0.0)
@@ -58,3 +59,40 @@ def test_hllc_contact_lies_in_the_fan_with_positive_star_densities(left, right):
     rho_star_l = v_l.rho * (fan.s_left - v_l.u) / (fan.s_left - fan.sigma)
     rho_star_r = v_r.rho * (fan.s_right - v_r.u) / (fan.s_right - fan.sigma)
     assert rho_star_l > 0.0 and rho_star_r > 0.0
+
+
+# both sides may have pi_inf > 0, so the vacuum floor p = -min(pi_inf) can lie
+# far below 0 and far from either side's own floor
+exact_eos = st.builds(EosParams, st.floats(1.2, 4.5),
+                      st.sampled_from((0.0, 1e5, 3.4e6, 3e7, 6e8)))
+above_floor = st.floats(0.0, np.log10(3e9)).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def riemann_problems(draw):
+    """Two EOS and a state of each, 1 Pa to 3e9 Pa above its -pi_inf; or a
+    contact: equal p and u, 1 Pa to 3e9 Pa above -min(pi_inf)."""
+    eos_l, eos_r = draw(exact_eos), draw(exact_eos)
+    rho_l, rho_r = (10.0 ** draw(st.floats(-3.0, 3.5)) for _ in range(2))
+    u_l = draw(st.floats(-500.0, 500.0))
+    if draw(st.booleans()):
+        p = draw(above_floor) - min(eos_l.pi_inf, eos_r.pi_inf)
+        left, right = Primitive(rho_l, u_l, p), Primitive(rho_r, u_l, p)
+    else:
+        left = Primitive(rho_l, u_l, draw(above_floor) - eos_l.pi_inf)
+        right = Primitive(rho_r, draw(st.floats(-500.0, 500.0)),
+                          draw(above_floor) - eos_r.pi_inf)
+    return left, right, eos_l, eos_r
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=1500)
+@given(riemann_problems())
+def test_exact_rp_converges_or_names_vacuum(problem):
+    left, right, eos_l, eos_r = problem
+    try:
+        sol = exact_rp(*problem)
+    except SolverError as exc:
+        assert "forms vacuum" in str(exc)
+        return
+    assert sol.residual <= 1e-10
+    assert sol.p_star + min(eos_l.pi_inf, eos_r.pi_inf) >= 0.0
