@@ -75,8 +75,8 @@ def _failure_site(bad, left, right, first):
         if np.shape(bad)[:-1] == (2, 2):
             where += f", pairing {pair[0] + 1}{pair[1] + 1}"
     sides = (f"{name} (rho, u, p) = ("
-             + ", ".join(f"{np.broadcast_to(x, np.shape(bad))[at]:.9g}" for x in v[:3]) + ")"
-             for name, v in (("left", left), ("right", right)))
+             + ", ".join(f"{np.broadcast_to(x, np.shape(bad))[at]:.9g}" for x in (v.rho, v.u, v.p))
+             + ")" for name, v in (("left", left), ("right", right)))
     return f"{where}: " + ", ".join(sides)
 
 
@@ -179,7 +179,9 @@ class _Side:
     """Per-side constants of the exact solver. Its wave relations take
     x = p + s, the pressure above the vacuum floor -s of the side with the
     smaller pi_inf; at x this side's shifted pressure p + pi_inf is x + d,
-    d = pi_inf - s >= 0, which reduces the stiffened gas to an ideal gas."""
+    d = pi_inf - s >= 0, which reduces the stiffened gas to an ideal gas.
+    A right side is mirrored (u -> -u, xi -> -xi), so every wave here faces
+    left."""
 
     def __init__(self, prim: Primitive, eos: EosParams, s: float):
         self.rho = float(prim.rho)
@@ -187,6 +189,7 @@ class _Side:
         self.p = float(prim.p)
         self.gamma = eos.gamma
         self.pi = eos.pi_inf
+        self.s = s
         self.d = self.pi - s
         self.x = self.p + s
         self.pbar = self.p + self.pi
@@ -211,34 +214,36 @@ class _Side:
         return (pbar / self.pbar) ** (-(self.gamma + 1.0) / (2.0 * self.gamma)) \
             / (self.rho * self.a)
 
+    def wave(self, x, u_star):
+        """(kind, head, tail) of the wave to the star state (x, u_star); a
+        shock's head and tail are both its speed."""
+        g = self.gamma
+        P = (x + self.d) / self.pbar
+        if x > self.x:
+            s = self.u - self.a * np.sqrt((g + 1.0) / (2.0 * g) * P + (g - 1.0) / (2.0 * g))
+            return "shock", s, s
+        return "rarefaction", self.u - self.a, u_star - self.a * P**self.exp
 
-def _sample_left_of_contact(side: _Side, u_star, p_star, xi):
-    """Profile left of the contact for a left-side wave; arrays over xi."""
-    g = side.gamma
-    P = (p_star + side.pi) / side.pbar
-    if p_star > side.p:
-        s = side.u - side.a * np.sqrt((g + 1.0) / (2.0 * g) * P + (g - 1.0) / (2.0 * g))
+    def profile(self, x, u_star, xi):
+        """rho, u, p left of the contact at the array xi, for the wave to the
+        star state (x, u_star): this side, the fan, the star state."""
+        kind, head, tail = self.wave(x, u_star)
+        g = self.gamma
+        P = (x + self.d) / self.pbar
         gg = (g - 1.0) / (g + 1.0)
-        rho_star = side.rho * (P + gg) / (gg * P + 1.0)
-        pre = xi < s
-        rho = np.where(pre, side.rho, rho_star)
-        u = np.where(pre, side.u, u_star)
-        p = np.where(pre, side.p, p_star)
-        return rho, u, p, ("shock", s, s)
-    a_star = side.a * P**side.exp
-    head = side.u - side.a
-    tail = u_star - a_star
-    # evaluated everywhere then masked; floor keeps the dead region finite
-    a_fan = np.maximum(2.0 / (g + 1.0) * (side.a + 0.5 * (g - 1.0) * (side.u - xi)),
-                       1e-30)
-    u_fan = 2.0 / (g + 1.0) * (side.a + 0.5 * (g - 1.0) * side.u + xi)
-    pbar_fan = side.pbar * (a_fan / side.a) ** (2.0 * g / (g - 1.0))
-    rho_fan = g * pbar_fan / a_fan**2
-    rho_star = side.rho * P ** (1.0 / g)
-    rho = np.where(xi < head, side.rho, np.where(xi < tail, rho_fan, rho_star))
-    u = np.where(xi < head, side.u, np.where(xi < tail, u_fan, u_star))
-    p = np.where(xi < head, side.p, np.where(xi < tail, pbar_fan - side.pi, p_star))
-    return rho, u, p, ("rarefaction", head, tail)
+        rho_star = (self.rho * (P + gg) / (gg * P + 1.0) if kind == "shock"
+                    else self.rho * P ** (1.0 / g))
+        # the fan is evaluated everywhere then masked; a shock has none
+        # (head == tail), and the floor keeps the dead region finite
+        a_fan = np.maximum(2.0 / (g + 1.0) * (self.a + 0.5 * (g - 1.0) * (self.u - xi)),
+                           1e-30)
+        pbar_fan = self.pbar * (a_fan / self.a) ** (2.0 * g / (g - 1.0))
+        fan = (g * pbar_fan / a_fan**2,
+               2.0 / (g + 1.0) * (self.a + 0.5 * (g - 1.0) * self.u + xi),
+               pbar_fan - self.pi)
+        star = (rho_star, u_star, x - self.s)
+        return [np.where(xi < head, side, np.where(xi < tail, in_fan, in_star))
+                for side, in_fan, in_star in zip((self.rho, self.u, self.p), fan, star)]
 
 
 class ExactRiemannSolution:
@@ -248,43 +253,28 @@ class ExactRiemannSolution:
     left of the contact the left material applies, right of it the right one.
     """
 
-    def __init__(self, left: _Side, right_m: _Side, p_star, u_star, residual, iterations):
+    def __init__(self, left: _Side, right_m: _Side, x_star, u_star, residual, iterations):
         self._left = left
         self._right_m = right_m
-        self.p_star = float(p_star)
+        self._x = float(x_star)
+        self.p_star = self._x - left.s
         self.u_star = float(u_star)
         self.residual = float(residual)
         self.iterations = int(iterations)
-        _, _, _, self.left_wave = _sample_left_of_contact(
-            self._left, self.u_star, self.p_star, np.asarray(0.0))
-        _, _, _, wave_m = _sample_left_of_contact(
-            self._right_m, -self.u_star, self.p_star, np.asarray(0.0))
-        self.right_wave = (wave_m[0], -wave_m[2], -wave_m[1])
+        self.left_wave = left.wave(self._x, self.u_star)
+        kind, head, tail = right_m.wave(self._x, -self.u_star)
+        self.right_wave = (kind, -tail, -head)
 
     def __call__(self, xi):
         xi = np.asarray(xi, dtype=float)
-        rho_l, u_l, p_l, _ = _sample_left_of_contact(self._left, self.u_star,
-                                                     self.p_star, xi)
-        rho_r, u_rm, p_r, _ = _sample_left_of_contact(self._right_m, -self.u_star,
-                                                      self.p_star, -xi)
+        rho_l, u_l, p_l = self._left.profile(self._x, self.u_star, xi)
+        rho_r, u_rm, p_r = self._right_m.profile(self._x, -self.u_star, -xi)
         on_left = xi < self.u_star
         return Primitive(
             rho=np.where(on_left, rho_l, rho_r),
             u=np.where(on_left, u_l, -u_rm),
             p=np.where(on_left, p_l, p_r),
         )
-
-
-def _two_rarefaction_guess(sl: _Side, sr: _Side, du):
-    """The root x of the pressure function if both waves were rarefactions
-    with the mean gamma, or None where that form has none."""
-    g = 0.5 * (sl.gamma + sr.gamma)
-    z = (g - 1.0) / (2.0 * g)
-    num = sl.a + sr.a - 0.5 * (g - 1.0) * du
-    if num <= 0.0:
-        return None
-    den = sl.a / sl.pbar**z + sr.a / sr.pbar**z
-    return (num / den) ** (1.0 / z) - 0.5 * (sl.d + sr.d)
 
 
 def exact_rp(left: Primitive, right: Primitive, eos_left: EosParams,
@@ -295,16 +285,25 @@ def exact_rp(left: Primitive, right: Primitive, eos_left: EosParams,
     rarefaction branches per side; Toro, Riemann Solvers and Numerical
     Methods for Fluid Dynamics, ch. 4), which rises and is concave in
     x = p + s, s the smaller pi_inf, so x = 0 is the vacuum floor. Newton
-    starts from a two-rarefaction estimate and is safeguarded by bisection on
-    the bracket [0, hi], whose end hi has a closed form: above the higher
-    side pressure x_k both waves are shocks, and side k's shock alone makes
-    up the shortfall -f(x_k) within the root h of a quadratic, so f > 0 at
-    x_k + 2 h. The step is tested against the tolerance, relative to x,
-    before the safeguard. p_star is reported unshifted, as x - s.
+    starts at the lower side pressure, the root of a contact, and is
+    safeguarded on the bracket [0, hi], whose end hi has a closed form: above
+    the higher side pressure x_k both waves are shocks, and side k's shock
+    alone makes up the shortfall -f(x_k) within the root h of a quadratic, so
+    f > 0 at x_k + 2 h. The step is tested against the tolerance, relative to
+    x, before the safeguard. A step that leaves the bracket is taken again in
+    w = x^z, z the smaller exponent (gamma - 1) / (2 gamma) of a side with
+    d = 0, whose rarefaction is linear in w, so a root near the floor is
+    reached in a few steps; only if that step leaves the bracket too does the
+    search bisect. It also stops, after one last step, where |f| falls to
+    4 eps of its velocity scale: below that f is rounding noise, and x cannot
+    be resolved further. The waves and the sampled profile are taken at x,
+    so a fan keeps its tail above the floor; p_star is reported unshifted,
+    as x - s.
 
     An inadmissible side or a non-finite velocity raises InvalidStateError
     naming the side; vacuum formation (f >= 0 at x = 0, no root with both
-    shifted pressures positive) raises SolverError.
+    shifted pressures positive) raises SolverError, and so does a search that
+    does not converge, naming both states.
     """
     for side, v, eos in (("left", left, eos_left), ("right", right, eos_right)):
         with _prefixed(f"{side} state"):
@@ -333,9 +332,11 @@ def exact_rp(left: Primitive, right: Primitive, eos_left: EosParams,
     if need >= 0.0:
         hi += need * (need + np.sqrt(need * need + 4.0 * k.A * (k.pbar + k.B))) / k.A
 
-    x = _two_rarefaction_guess(sl, sr, du)
-    if x is None or not 0.0 < x < hi:
-        x = 0.5 * hi
+    noise = 4.0 * np.finfo(float).eps * scale
+    z = min(side.exp for side in (sl, sr) if side.d == 0.0)
+    # a side with d > 0 may lie at or below the floor, x <= 0: the other
+    # side (d = 0) never does
+    x = min(side.x for side in (sl, sr) if side.x > 0.0)
     for iterations in range(1, _MAX_ITER + 1):
         fx = f_total(x)
         if fx > 0.0:
@@ -343,14 +344,20 @@ def exact_rp(left: Primitive, right: Primitive, eos_left: EosParams,
         else:
             lo = x
         x_new = x - fx / (sl.df(x) + sr.df(x))
-        if abs(x_new - x) <= _TOL * x_new:
-            x = x_new
+        # converged on the step, or f is rounding noise and x cannot be
+        # resolved further: a last step, kept above lo (maybe the floor)
+        if abs(x_new - x) <= _TOL * x_new or abs(fx) <= noise:
+            x = x_new if x_new > lo else x
             break
+        if not lo < x_new < hi:
+            # the same step in w = x^z: w (1 + z dx / x)
+            x_new = x * max(1.0 + z * (x_new - x) / x, 0.0) ** (1.0 / z)
         x = x_new if lo < x_new < hi else 0.5 * (lo + hi)
     else:
-        raise SolverError(f"exact Riemann solver did not converge in {_MAX_ITER} iterations")
+        raise SolverError(f"exact Riemann solver did not converge in {_MAX_ITER} iterations"
+                          + _failure_site(True, left, right, 0))
 
     u_star = 0.5 * (sl.u - sr.u) + 0.5 * (sr.f(x) - sl.f(x))
-    return ExactRiemannSolution(sl, sr, p_star=x - s, u_star=u_star,
+    return ExactRiemannSolution(sl, sr, x_star=x, u_star=u_star,
                                 residual=abs(f_total(x)) / scale,
                                 iterations=iterations)

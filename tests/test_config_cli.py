@@ -532,6 +532,18 @@ def test_cli_riemann_root_at_the_vacuum_floor(capsys):
     assert out.startswith("p_star = -3400000\n") and err == ""
 
 
+def test_cli_riemann_near_vacuum_pair_converges(capsys):
+    # the root lies far below the bracket's end; bisecting toward it did not
+    # converge in 100 iterations
+    assert main(["riemann", "5.329331647529146,14.639356077712705,-3399787.0384708224",
+                 "1687.1826849977053,72.10383432428405,-3399448.3051563883",
+                 "--gamma-left", "1.2525141995526747", "--pi-left", "3.4e6",
+                 "--gamma-right", "2.1803300503362157", "--pi-right", "3.4e6"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert int(re.search(r"^iterations = (\d+),", out, re.M).group(1)) <= 10
+
+
 def test_cli_riemann_rejects_unparsable_sample(capsys):
     assert main(["riemann", "1,0,1", "0.125,0,0.1", "--sample", "0,x"]) == 1
     out, err = capsys.readouterr()

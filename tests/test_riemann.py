@@ -474,6 +474,42 @@ def test_exact_root_just_above_the_vacuum_floor():
     assert sol.residual <= 1e-10
 
 
+# both sides 3.4e6 Pa stiff and a few hundred Pa above p = -3.4e6; with the
+# CI pair's u_R the root lies 1.5e-15 Pa above that floor, where a* = 0.13 m/s
+NEAR_VACUUM_EOS = (EosParams(1.2525141995526747, 3.4e6), EosParams(2.1803300503362157, 3.4e6))
+NEAR_VACUUM_LEFT = Primitive(5.329331647529146, 14.639356077712705, -3399787.0384708224)
+
+
+def near_vacuum_right(u):
+    return Primitive(1687.1826849977053, u, -3399448.3051563883)
+
+
+def test_exact_fan_tail_is_taken_above_the_vacuum_floor():
+    # the fan ends at u* - a*, not at u*: sampled from the unshifted p*, a*
+    # read 0 and xi = 69.5 fell in the fan with u = 69.6315 > u* = 69.6257
+    sol = exact_rp(NEAR_VACUUM_LEFT, near_vacuum_right(71.05639381824369), *NEAR_VACUUM_EOS)
+    kind, head, tail = sol.left_wave
+    assert kind == "rarefaction" and tail < sol.u_star
+    assert sol(69.5).u <= sol.u_star
+
+
+def test_exact_root_near_vacuum_converges_in_few_iterations():
+    # bisecting toward a root far below the bracket's end took 63 iterations
+    # for the CI pair, and more than 100 for the second u_R
+    sol = exact_rp(NEAR_VACUUM_LEFT, near_vacuum_right(71.05639381824369), *NEAR_VACUUM_EOS)
+    assert sol.iterations <= 10
+    sol = exact_rp(NEAR_VACUUM_LEFT, near_vacuum_right(72.10383432428405), *NEAR_VACUUM_EOS)
+    assert sol.residual <= 1e-10
+
+
+def test_exact_rp_error_names_both_states(monkeypatch):
+    monkeypatch.setattr("demflow.riemann._MAX_ITER", 1)
+    with pytest.raises(SolverError, match=r"^exact Riemann solver did not converge in 1 "
+                       r"iterations: left \(rho, u, p\) = \(1, 0, 1\), "
+                       r"right \(rho, u, p\) = \(0.125, 0, 0.1\)$"):
+        exact_rp(Primitive(1.0, 0.0, 1.0), Primitive(0.125, 0.0, 0.1), GAS, GAS)
+
+
 def test_exact_contact_in_deep_tension_is_returned_exactly():
     # equal p and u, 1.67 Pa above -pi_inf: the root is the bracket's end
     eos = EosParams(1.3048018206580425, 3.4e6)
