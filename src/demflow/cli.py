@@ -130,7 +130,10 @@ def _cmd_riemann(args):
                    EosParams(args.gamma_right, args.pi_right))
     print(f"p_star = {sol.p_star:.12g}")
     print(f"u_star = {sol.u_star:.12g}")
-    for side, (kind, head, tail) in (("left", sol.left_wave), ("right", sol.right_wave)):
+    # each wave is (kind, left edge, right edge); a rarefaction's head is its
+    # leading edge, the left wave's left and the right wave's right one
+    for side, (kind, lo, hi) in (("left", sol.left_wave), ("right", sol.right_wave)):
+        head, tail = (lo, hi) if side == "left" else (hi, lo)
         if kind == "shock":
             print(f"{side} wave: shock, speed {head:.12g}")
         else:

@@ -4,13 +4,17 @@ shock-tube experiment presets t1..t6.
 A config file may name a `preset` and then override any key. All quantities
 are SI (times in seconds). RunConfig checks its own values where it is built,
 as EosParams and the regime policies do, so a config made or replaced in code
-is checked too. The parser reads keys and numbers (unknown keys and
-non-finite numbers are hard errors) and picks the regime policy; every error,
-its own or a value type's, names the config line or override it comes from.
+is checked too. The parser states each key's kind once, in one table, and
+each built type's field -> key map once; defaults live only on the types.
+It parses every key it is given (unknown keys and non-finite numbers are
+hard errors), then builds the EOS, the initial states, the regime policy the
+`regime` key names and the RunConfig from the keys the config sets. Every
+error, its own or a value type's, names the config line or override it
+comes from.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .eos import EosParams, _check_admissible
 from .errors import ConfigError, DemflowError, InvalidStateError, _require
@@ -23,7 +27,6 @@ from .state import SATURATION_TOL
 EPS_VF = 1e-6
 
 RELAXATION_MODES = ("none", "continuous", "projection")
-REGIME_MODES = ("constant", "piecewise", "stochastic", "uniform")
 
 
 @dataclass(frozen=True)
@@ -63,6 +66,8 @@ class RunConfig:
 
     def __post_init__(self):
         _require(self.x_max > self.x_min, ConfigError, "x_max", "x_max must exceed x_min")
+        if isinstance(self.regime_policy, PiecewiseRegime):
+            check_breakpoints(self.regime_policy, self.x_min, self.x_max)
         _require(self.n_cells >= 3, ConfigError, "n_cells", "n_cells must be at least 3")
         _require(self.t_end >= 0.0, ConfigError, "t_end", "t_end must be non-negative")
         _require(0.0 < self.cfl <= 1.0, ConfigError, "cfl", "cfl must lie in (0, 1]")
@@ -89,21 +94,46 @@ class RunConfig:
                      f"snapshot time {s:g} outside [0, t_end]")
 
 
-# left_alpha1, left_rho1, left_u1, left_p1, left_alpha2, ..., right_p2
-_STATE_KEYS = tuple(f"{side}_{q}{phase}" for side in ("left", "right")
-                    for phase in (1, 2) for q in ("alpha", "rho", "u", "p"))
-_FLOAT_KEYS = {
-    "x_min", "x_max", "t_end", "cfl", "diaphragm",
-    "gamma1", "pi_inf1", "gamma2", "pi_inf2",
-    "regime_r", "regime_epsilon", "regime_r0", *_STATE_KEYS,
-}
-_INT_KEYS = {"n_cells", "seed"}
-_STR_KEYS = {"relaxation", "regime", "output", "preset"}
-_LIST_KEYS = {"regime_breakpoints", "regime_values", "snapshots"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS | _LIST_KEYS
+def _float_list(raw):
+    return tuple(float(tok) for tok in raw.split(",") if tok.strip())
 
-_REQUIRED = ("x_min", "x_max", "n_cells", "t_end", "gamma1", "pi_inf1", "gamma2", "pi_inf2",
-             *_STATE_KEYS)
+
+# field -> key of each type the config builds: RunConfig's own keys, ...
+_RUN_KEYS = {**{f: f for f in ("x_min", "x_max", "n_cells", "t_end", "cfl", "diaphragm",
+                               "relaxation", "seed", "output")}, "snapshot_times": "snapshots"}
+# ... the RunConfig fields built in turn: field -> (type, map, label of its errors)
+_PARTS = {
+    **{f"eos{k}": (EosParams, {"gamma": f"gamma{k}", "pi_inf": f"pi_inf{k}"}, f"phase {k}")
+       for k in (1, 2)},
+    **{f"{side}{k}": (PhaseSideInit, {q: f"{side}_{q}{k}" for q in ("alpha", "rho", "u", "p")},
+                      None) for side in ("left", "right") for k in (1, 2)},
+}
+# ... and each regime mode's policy: mode -> (policy type, map)
+_REGIMES = {
+    "constant": (ConstantRegime, {"value": "regime_r"}),
+    "piecewise": (PiecewiseRegime, {"breakpoints": "regime_breakpoints",
+                                    "values": "regime_values"}),
+    "stochastic": (StochasticRegime, {"epsilon": "regime_epsilon", "initial": "regime_r0",
+                                      "seed": "seed"}),
+    "uniform": (UniformRandomRegime, {"seed": "seed"}),
+}
+REGIME_MODES = tuple(_REGIMES)
+
+# each key's kind: the function that parses its value (a str value may be
+# empty); every key of an EOS or an initial state is a float
+_KINDS = {
+    **dict.fromkeys(("x_min", "x_max", "t_end", "cfl", "diaphragm", "regime_r",
+                     "regime_epsilon", "regime_r0",
+                     *(key for _, keys, _ in _PARTS.values() for key in keys.values())), float),
+    "n_cells": int, "seed": int,
+    **dict.fromkeys(("relaxation", "regime", "output", "preset"), str),
+    **dict.fromkeys(("regime_breakpoints", "regime_values", "snapshots"), _float_list),
+}
+
+
+def _required(kind, keys):
+    """The keys of kind's fields that have no default, in field order."""
+    return [keys[f.name] for f in fields(kind) if f.default is MISSING and f.name in keys]
 
 
 def _entries(sources):
@@ -117,15 +147,26 @@ def _entries(sources):
             continue
         if "=" not in line:
             raise ConfigError(f"expected key=value, got {line!r}", where)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _ALL_KEYS:
+        key, _, value = map(str.strip, line.partition("="))
+        if key not in _KINDS:
             raise ConfigError(f"unknown key {key!r}", where)
-        if not value and key not in _STR_KEYS:
+        if not value and _KINDS[key] is not str:
             raise ConfigError(f"empty value for {key!r}", where)
         entries[key] = (value, where)
     return entries
+
+
+def _parsed(key, raw, where):
+    """The value of key parsed by its kind; a number must be finite."""
+    kind = _KINDS[key]
+    try:
+        value = kind(raw)
+    except ValueError:
+        raise ConfigError(f"cannot parse {key}={raw!r}", where) from None
+    if kind in (float, _float_list) and not all(
+            map(math.isfinite, value if kind is _float_list else (value,))):
+        raise ConfigError(f"{key} must be finite, got {raw!r}", where)
+    return value
 
 
 def parse_config(text: str) -> RunConfig:
@@ -153,89 +194,36 @@ def _build(entries) -> RunConfig:
         if name not in PRESETS:
             raise ConfigError(
                 f"unknown preset {name!r} (available: {', '.join(available_presets())})", where)
-        merged = {k: (v, where) for k, v in PRESETS[name].items()}
-        merged.update(entries)
-        entries = merged
+        entries = {**{k: (v, where) for k, v in PRESETS[name].items()}, **entries}
 
     def origin(key):
         return entries[key][1] if key in entries else None
 
-    def take(key, kind, default=None):
-        if key not in entries:
-            return default
-        raw, where = entries[key]
-        try:
-            value = kind(raw)
-        except (TypeError, ValueError):
-            raise ConfigError(f"cannot parse {key}={raw!r}", where) from None
-        numbers = value if kind is float_list else (value,)
-        if kind in (float, float_list) and not all(map(math.isfinite, numbers)):
-            raise ConfigError(f"{key} must be finite, got {raw!r}", where)
-        return value
-
-    def float_list(raw):
-        return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-
-    missing = [k for k in _REQUIRED if k not in entries]
+    missing = [key for kind, keys, _ in [(RunConfig, _RUN_KEYS, None), *_PARTS.values()]
+               for key in _required(kind, keys) if key not in entries]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
+    values = {key: _parsed(key, raw, where) for key, (raw, where) in entries.items()}
 
-    x_min = take("x_min", float)
-    x_max = take("x_max", float)
-    n_cells = take("n_cells", int)
-    t_end = take("t_end", float)
-    cfl = take("cfl", float, 0.9)
-    diaphragm = take("diaphragm", float, 0.0)
-    seed = take("seed", int, 0)
-
-    def built(kind, keys, label=None, **values):
-        """kind(**values); a check's error names the line or override of the
-        key its rule reads (keys: field -> key; an unmapped field is the key
-        itself), then `label`."""
+    def built(kind, keys, label=None, **given):
+        """kind(**given) with each field of `keys` (field -> key) that the
+        config sets; a check's error names the line or override of the key
+        its rule reads (an unmapped field is the key itself), then `label`."""
+        given.update((field, values[key]) for field, key in keys.items() if key in values)
         try:
-            return kind(**values)
+            return kind(**given)
         except DemflowError as exc:
             raise ConfigError(f"{label}: {exc}" if label else str(exc),
                               origin(keys.get(exc.field, exc.field))) from exc
 
-    eos1, eos2 = (built(EosParams, {"gamma": f"gamma{k}", "pi_inf": f"pi_inf{k}"}, f"phase {k}",
-                        gamma=take(f"gamma{k}", float), pi_inf=take(f"pi_inf{k}", float))
-                  for k in (1, 2))
-    left1, left2, right1, right2 = (
-        PhaseSideInit(*(take(f"{side}_{q}{phase}", float) for q in ("alpha", "rho", "u", "p")))
-        for side in ("left", "right") for phase in (1, 2))
-    relaxation = take("relaxation", str, "none")
-
-    regime = take("regime", str, "constant")
-    if regime not in REGIME_MODES:
+    regime = values.get("regime", "constant")
+    if regime not in _REGIMES:
         raise ConfigError(f"regime must be one of {REGIME_MODES}", origin("regime"))
-    if regime == "constant":
-        policy = built(ConstantRegime, {"value": "regime_r"}, value=take("regime_r", float, 0.0))
-    elif regime == "piecewise":
-        bps = take("regime_breakpoints", float_list)
-        vals = take("regime_values", float_list)
-        if bps is None or vals is None:
-            raise ConfigError("piecewise regime needs regime_breakpoints and regime_values")
-        policy = built(PiecewiseRegime,
-                       {"breakpoints": "regime_breakpoints", "values": "regime_values"},
-                       breakpoints=bps, values=vals)
-        built(check_breakpoints, {"breakpoints": "regime_breakpoints"},
-              policy=policy, x_min=x_min, x_max=x_max)
-    elif regime == "stochastic":
-        eps = take("regime_epsilon", float)
-        if eps is None:
-            raise ConfigError("stochastic regime needs regime_epsilon")
-        policy = built(StochasticRegime, {"epsilon": "regime_epsilon", "initial": "regime_r0",
-                                          "seed": "seed"},
-                       epsilon=eps, seed=seed, initial=take("regime_r0", float, 0.0))
-    else:
-        policy = built(UniformRandomRegime, {"seed": "seed"}, seed=seed)
-
-    return built(RunConfig, {}, x_min=x_min, x_max=x_max, n_cells=n_cells, t_end=t_end,
-                 eos1=eos1, eos2=eos2, left1=left1, left2=left2, right1=right1, right2=right2,
-                 cfl=cfl, diaphragm=diaphragm, relaxation=relaxation, regime_policy=policy,
-                 snapshot_times=take("snapshots", float_list, ()), seed=seed,
-                 output=take("output", str, None))
+    needs = _required(*_REGIMES[regime])
+    if any(key not in values for key in needs):
+        raise ConfigError(f"{regime} regime needs {' and '.join(needs)}")
+    return built(RunConfig, _RUN_KEYS, **{field: built(*part) for field, part in _PARTS.items()},
+                 regime_policy=built(*_REGIMES[regime]))
 
 
 # gas phase 1 (gamma=1.4, pi=0) against water-like phase 2 (gamma=4.4, pi=6e8)

@@ -20,7 +20,7 @@ RNG_ALGORITHM = "numpy-pcg64"
 
 @dataclass(frozen=True)
 class ConstantRegime:
-    value: float
+    value: float = 0.0
 
     def __post_init__(self):
         _require(0.0 <= self.value <= 1.0, ConfigError, "value",
@@ -62,7 +62,7 @@ class StochasticRegime:
     """Per-step random walk r += epsilon * Unif[-1, 1], clamped to [0, 1]."""
 
     epsilon: float
-    seed: int
+    seed: int = 0
     initial: float = 0.0
 
     def __post_init__(self):
@@ -80,7 +80,7 @@ class StochasticRegime:
 class UniformRandomRegime:
     """Fresh U[0, 1] draw per interface per step (comparison mode)."""
 
-    seed: int
+    seed: int = 0
 
     def __post_init__(self):
         _check_seed(self.seed)
@@ -102,9 +102,10 @@ class RegimeField:
 
 def check_breakpoints(policy: PiecewiseRegime, x_min, x_max):
     """The piecewise rule that needs the domain: every breakpoint lies strictly
-    inside (x_min, x_max). init_field and the config apply it."""
-    _require(all(x_min < b < x_max for b in policy.breakpoints), ConfigError, "breakpoints",
-             "piecewise regime breakpoints outside the domain")
+    inside (x_min, x_max). RunConfig applies it, and init_field for a grid
+    built without one; its error's field is the config key."""
+    _require(all(x_min < b < x_max for b in policy.breakpoints), ConfigError,
+             "regime_breakpoints", "piecewise regime breakpoints outside the domain")
 
 
 def init_field(policy, grid) -> RegimeField:

@@ -251,6 +251,9 @@ class ExactRiemannSolution:
 
     Calling the object with xi = x/t samples the self-similar solution;
     left of the contact the left material applies, right of it the right one.
+    left_wave and right_wave are (kind, left edge, right edge) in xi, a
+    shock's two edges its speed; a rarefaction's head, its leading edge, is
+    the left edge of the left wave and the right edge of the right wave.
     """
 
     def __init__(self, left: _Side, right_m: _Side, x_star, u_star, residual, iterations):

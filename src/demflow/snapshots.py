@@ -169,7 +169,8 @@ def _cell_average(solution, x, dx, t, n_sub=ORACLE_SUBSAMPLES):
 
 def compare_oracle(data: dict, meta: dict, spec: OracleSpec) -> dict:
     """Per-field L1 = sum |q - q_exact| dx, Linf, and relative L1
-    (sum |q - q_exact| / sum |q_exact|)."""
+    (sum |q - q_exact| / sum |q_exact|; where q_exact is 0 in every cell, inf
+    if q differs from it and 0 if not)."""
     cfg = spec.config
     try:
         t = float(meta.get("t", "nan"))
@@ -211,9 +212,10 @@ def compare_oracle(data: dict, meta: dict, spec: OracleSpec) -> dict:
     report = {}
     for field, exact in comparisons:
         diff = np.abs(data[field] - exact)
+        total, scale = float(np.sum(diff)), float(np.sum(np.abs(exact)))
         report[field] = FieldError(
-            l1=float(np.sum(diff) * dx),
+            l1=total * dx,
             linf=float(np.max(diff)),
-            l1_rel=float(np.sum(diff) / np.sum(np.abs(exact))),
+            l1_rel=total / scale if scale else (np.inf if total else 0.0),
         )
     return report

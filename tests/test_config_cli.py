@@ -119,6 +119,77 @@ def test_run_config_rejects_bad_values_where_it_is_built(change, key, message):
     assert info.value.field == key
 
 
+def _without(text, *keys):
+    return "\n".join(line for line in text.splitlines() if line.split(" =")[0] not in keys)
+
+
+# every error the parser raises itself, and one of each value type's, with
+# its exact text and prefix: a config line (MINIMAL's last line is 26) or an
+# override; an error of no one line or override has no prefix
+@pytest.mark.parametrize("source, text", [
+    (MINIMAL + "bogus\n", "line 27: expected key=value, got 'bogus'"),
+    (MINIMAL + "n_cells =\n", "line 27: empty value for 'n_cells'"),
+    (("t1_uniform_vf", ["n_cells="]), "override n_cells=: empty value for 'n_cells'"),
+    (MINIMAL + "bogus = 1\n", "line 27: unknown key 'bogus'"),
+    (_without(MINIMAL, "x_min", "right_p2"), "missing required keys: x_min, right_p2"),
+    ("preset = nope\n", "line 1: unknown preset 'nope' (available: t1_uniform_vf, "
+                        "t2_uniform_vf_relaxed, t3_pure_phases, t4_cavitation, "
+                        "t5_piecewise_r, t6_dense_dilute)"),
+    (("t1_uniform_vf", ["n_cells=abc"]), "override n_cells=abc: cannot parse n_cells='abc'"),
+    (("t1_uniform_vf", ["snapshots=1e-6,x"]),
+     "override snapshots=1e-6,x: cannot parse snapshots='1e-6,x'"),
+    (MINIMAL + "cfl = nan\n", "line 27: cfl must be finite, got 'nan'"),
+    (("t1_uniform_vf", ["regime=bogus"]), "override regime=bogus: regime must be one of "
+                                          "('constant', 'piecewise', 'stochastic', 'uniform')"),
+    (("t1_uniform_vf", ["regime=piecewise"]),
+     "piecewise regime needs regime_breakpoints and regime_values"),
+    (("t1_uniform_vf", ["regime=piecewise", "regime_breakpoints=0"]),
+     "piecewise regime needs regime_breakpoints and regime_values"),
+    (("t1_uniform_vf", ["regime=stochastic"]), "stochastic regime needs regime_epsilon"),
+    (("t1_uniform_vf", ["gamma1=0.5"]),
+     "override gamma1=0.5: phase 1: gamma must be finite and exceed 1, got 0.5"),
+    (("t1_uniform_vf", ["regime_r=2"]), "override regime_r=2: regime value 2.0 outside [0, 1]"),
+    (("t6_dense_dilute", ["regime_epsilon=-1"]),
+     "override regime_epsilon=-1: regime epsilon must be non-negative, got -1.0"),
+    (("t5_piecewise_r", ["regime_breakpoints=-0.52,0.395,3"]),
+     "override regime_breakpoints=-0.52,0.395,3: piecewise regime breakpoints outside the domain"),
+    (("t1_uniform_vf", ["cfl=2"]), "override cfl=2: cfl must lie in (0, 1]"),
+], ids=["no_equals", "empty_line", "empty_override", "unknown_key", "missing", "unknown_preset",
+        "unparsable", "unparsable_list", "non_finite", "regime", "piecewise_needs",
+        "piecewise_needs_values", "stochastic_needs", "eos", "constant", "stochastic",
+        "breakpoints", "run_config"])
+def test_parser_error_texts(source, text):
+    with pytest.raises(ConfigError) as info:
+        parse_config(source) if isinstance(source, str) else preset_config(*source)
+    assert str(info.value) == text
+
+
+# two faults reported otherwise than the parser once did: every key given is
+# parsed, whether the chosen regime reads it or not (regime_epsilon=abc once
+# passed a constant regime), and an empty domain is named before the
+# breakpoints that cannot lie in it (its rule's key is x_max, so an x_min
+# fault names no override, as on every preset)
+@pytest.mark.parametrize("preset, override, text", [
+    ("t1_uniform_vf", "regime_epsilon=abc",
+     "override regime_epsilon=abc: cannot parse regime_epsilon='abc'"),
+    ("t5_piecewise_r", "x_max=-2", "override x_max=-2: x_max must exceed x_min"),
+    ("t5_piecewise_r", "x_min=1.5", "x_max must exceed x_min"),
+], ids=["unread_key", "empty_domain", "empty_domain_by_x_min"])
+def test_parser_reports_the_first_fault(preset, override, text):
+    with pytest.raises(ConfigError) as info:
+        preset_config(preset, [override])
+    assert str(info.value) == text
+
+
+def test_replaced_domain_must_hold_the_breakpoints():
+    # a config replaced in code applies the breakpoint rule too; this one
+    # once passed and failed only inside run
+    with pytest.raises(ConfigError) as info:
+        replace(preset_config("t5_piecewise_r"), x_max=0.5)
+    assert str(info.value) == "piecewise regime breakpoints outside the domain"
+    assert info.value.field == "regime_breakpoints"
+
+
 def test_every_relaxation_mode_has_a_relaxer():
     # run looks the relaxer up by mode, so a checked config cannot miss it
     assert tuple(scheme._RELAXERS) == RELAXATION_MODES
@@ -355,6 +426,23 @@ def test_compare_oracle_zero_for_exact_samples(tmp_path):
         assert err.l1 == 0.0 and err.linf == 0.0
 
 
+def test_compare_oracle_relative_error_where_the_exact_field_is_zero():
+    # t4's liquid fans leave the domain by t = 2 ms, so the exact u2 is 0 in
+    # every cell at 200 cells: the relative L1 is inf where the snapshot
+    # differs from it and 0 where it agrees, with no division warning
+    spec = oracle_from_string("phases:t4_cavitation")
+    n = 200
+    data = {"x": -1.0 + (np.arange(n) + 0.5) * (2.0 / n)}
+    data.update((f"{q}{k}", np.zeros(n)) for q in ("rho", "u", "p") for k in (1, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert compare_oracle(data, {"t": "2e-3"}, spec)["u2"].l1_rel == 0.0
+        data["u2"] = np.ones(n)
+        report = compare_oracle(data, {"t": "2e-3"}, spec)
+    assert report["u2"].l1_rel == np.inf and report["u2"].l1 == 2.0
+    assert report["rho1"].l1_rel == 1.0
+
+
 def test_compare_oracle_rejects_grid_mismatch():
     spec = oracle_from_string("phases:t1_uniform_vf")
     # node-centered coordinates do not match the domain's cell centers
@@ -410,6 +498,19 @@ def test_cli_riemann_query(capsys):
     assert main(["riemann", "1,0,1", "0.125,0,0.1", "--sample=-1,0,1"]) == 0
     rows = capsys.readouterr().out.split("xi,rho,u,p\n")[1].splitlines()
     assert [row.split(",")[0] for row in rows] == ["-1", "0", "1"]
+
+
+def test_cli_riemann_heads_are_leading_edges(capsys):
+    # a rarefaction's head is its leading edge: the left wave's lies on its
+    # left, the right wave's on its right, so Sod and its mirror print the
+    # same edges with the signs turned
+    assert main(["riemann", "1,0,1", "0.125,0,0.1"]) == 0
+    assert "left wave: rarefaction, head -1.18321595662, tail -0.0702728125612\n" \
+        in capsys.readouterr().out
+    assert main(["riemann", "0.125,0,0.1", "1,0,1"]) == 0
+    out = capsys.readouterr().out
+    assert "left wave: shock, speed -1.75215573203\n" in out
+    assert "right wave: rarefaction, head 1.18321595662, tail 0.0702728125612\n" in out
 
 
 # each ran at one time: inf gamma, pi_inf or velocity failed to bracket the
