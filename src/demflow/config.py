@@ -5,12 +5,12 @@ A config file may name a `preset` and then override any key. All quantities
 are SI (times in seconds). RunConfig checks its own values where it is built,
 as EosParams and the regime policies do, so a config made or replaced in code
 is checked too. The parser states each key's kind once, in one table, and
-each built type's field -> key map once; defaults live only on the types.
-It parses every key it is given (unknown keys and non-finite numbers are
-hard errors), then builds the EOS, the initial states, the regime policy the
-`regime` key names and the RunConfig from the keys the config sets. Every
-error, its own or a value type's, names the config line or override it
-comes from.
+each built type's field -> key map once; defaults live only on the types,
+and a config states every EOS and initial-state key. It parses every key it
+is given (unknown keys and non-finite numbers are hard errors), then builds
+the EOS, the initial states, the regime policy the `regime` key names and the
+RunConfig from the keys the config sets. Every error, its own or a value
+type's, names the config line or override it comes from.
 """
 
 import math
@@ -99,8 +99,9 @@ def _float_list(raw):
 
 
 # field -> key of each type the config builds: RunConfig's own keys, ...
-_RUN_KEYS = {**{f: f for f in ("x_min", "x_max", "n_cells", "t_end", "cfl", "diaphragm",
-                               "relaxation", "seed", "output")}, "snapshot_times": "snapshots"}
+_RUN_KEYS = {f: f for f in ("x_min", "x_max", "n_cells", "t_end", "cfl", "diaphragm",
+                            "relaxation", "seed", "output")}
+_RUN_KEYS["snapshot_times"] = "snapshots"
 # ... the RunConfig fields built in turn: field -> (type, map, label of its errors)
 _PARTS = {
     **{f"eos{k}": (EosParams, {"gamma": f"gamma{k}", "pi_inf": f"pi_inf{k}"}, f"phase {k}")
@@ -119,12 +120,14 @@ _REGIMES = {
 }
 REGIME_MODES = tuple(_REGIMES)
 
-# each key's kind: the function that parses its value (a str value may be
-# empty); every key of an EOS or an initial state is a float
+# every EOS and initial-state key: a float, and required whatever the types'
+# defaults (EosParams.pi_inf = 0 serves code, but a config states each phase)
+_PART_KEYS = [key for _, keys, _ in _PARTS.values() for key in keys.values()]
+
+# each key's kind: the function that parses its value (a str value may be empty)
 _KINDS = {
     **dict.fromkeys(("x_min", "x_max", "t_end", "cfl", "diaphragm", "regime_r",
-                     "regime_epsilon", "regime_r0",
-                     *(key for _, keys, _ in _PARTS.values() for key in keys.values())), float),
+                     "regime_epsilon", "regime_r0", *_PART_KEYS), float),
     "n_cells": int, "seed": int,
     **dict.fromkeys(("relaxation", "regime", "output", "preset"), str),
     **dict.fromkeys(("regime_breakpoints", "regime_values", "snapshots"), _float_list),
@@ -132,7 +135,8 @@ _KINDS = {
 
 
 def _required(kind, keys):
-    """The keys of kind's fields that have no default, in field order."""
+    """The keys of kind's fields that have no default, in field order: the
+    required keys of RunConfig's own fields and of a regime policy."""
     return [keys[f.name] for f in fields(kind) if f.default is MISSING and f.name in keys]
 
 
@@ -147,7 +151,8 @@ def _entries(sources):
             continue
         if "=" not in line:
             raise ConfigError(f"expected key=value, got {line!r}", where)
-        key, _, value = map(str.strip, line.partition("="))
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
         if key not in _KINDS:
             raise ConfigError(f"unknown key {key!r}", where)
         if not value and _KINDS[key] is not str:
@@ -194,13 +199,14 @@ def _build(entries) -> RunConfig:
         if name not in PRESETS:
             raise ConfigError(
                 f"unknown preset {name!r} (available: {', '.join(available_presets())})", where)
-        entries = {**{k: (v, where) for k, v in PRESETS[name].items()}, **entries}
+        preset = {key: (raw, where) for key, raw in PRESETS[name].items()}
+        entries = {**preset, **entries}
 
     def origin(key):
         return entries[key][1] if key in entries else None
 
-    missing = [key for kind, keys, _ in [(RunConfig, _RUN_KEYS, None), *_PARTS.values()]
-               for key in _required(kind, keys) if key not in entries]
+    required = [*_required(RunConfig, _RUN_KEYS), *_PART_KEYS]
+    missing = [key for key in required if key not in entries]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
     values = {key: _parsed(key, raw, where) for key, (raw, where) in entries.items()}
@@ -222,8 +228,8 @@ def _build(entries) -> RunConfig:
     needs = _required(*_REGIMES[regime])
     if any(key not in values for key in needs):
         raise ConfigError(f"{regime} regime needs {' and '.join(needs)}")
-    return built(RunConfig, _RUN_KEYS, **{field: built(*part) for field, part in _PARTS.items()},
-                 regime_policy=built(*_REGIMES[regime]))
+    parts = {field: built(*part) for field, part in _PARTS.items()}
+    return built(RunConfig, _RUN_KEYS, regime_policy=built(*_REGIMES[regime]), **parts)
 
 
 # gas phase 1 (gamma=1.4, pi=0) against water-like phase 2 (gamma=4.4, pi=6e8)

@@ -154,30 +154,26 @@ def _without(text, *keys):
     (("t5_piecewise_r", ["regime_breakpoints=-0.52,0.395,3"]),
      "override regime_breakpoints=-0.52,0.395,3: piecewise regime breakpoints outside the domain"),
     (("t1_uniform_vf", ["cfl=2"]), "override cfl=2: cfl must lie in (0, 1]"),
+    # a pi_inf is required though EosParams defaults it to 0: a config that
+    # left out the liquid's would run it as an ideal gas
+    (_without(MINIMAL, "pi_inf2"), "missing required keys: pi_inf2"),
+    # two faults reported otherwise than the parser once did: every key given
+    # is parsed, whether the chosen regime reads it or not (regime_epsilon=abc
+    # once passed a constant regime), and an empty domain is named before the
+    # breakpoints that cannot lie in it (its rule's key is x_max, so an x_min
+    # fault names no override, as on every preset)
+    (("t1_uniform_vf", ["regime_epsilon=abc"]),
+     "override regime_epsilon=abc: cannot parse regime_epsilon='abc'"),
+    (("t5_piecewise_r", ["x_max=-2"]), "override x_max=-2: x_max must exceed x_min"),
+    (("t5_piecewise_r", ["x_min=1.5"]), "x_max must exceed x_min"),
 ], ids=["no_equals", "empty_line", "empty_override", "unknown_key", "missing", "unknown_preset",
         "unparsable", "unparsable_list", "non_finite", "regime", "piecewise_needs",
         "piecewise_needs_values", "stochastic_needs", "eos", "constant", "stochastic",
-        "breakpoints", "run_config"])
+        "breakpoints", "run_config", "missing_pi_inf", "unread_key", "empty_domain",
+        "empty_domain_by_x_min"])
 def test_parser_error_texts(source, text):
     with pytest.raises(ConfigError) as info:
         parse_config(source) if isinstance(source, str) else preset_config(*source)
-    assert str(info.value) == text
-
-
-# two faults reported otherwise than the parser once did: every key given is
-# parsed, whether the chosen regime reads it or not (regime_epsilon=abc once
-# passed a constant regime), and an empty domain is named before the
-# breakpoints that cannot lie in it (its rule's key is x_max, so an x_min
-# fault names no override, as on every preset)
-@pytest.mark.parametrize("preset, override, text", [
-    ("t1_uniform_vf", "regime_epsilon=abc",
-     "override regime_epsilon=abc: cannot parse regime_epsilon='abc'"),
-    ("t5_piecewise_r", "x_max=-2", "override x_max=-2: x_max must exceed x_min"),
-    ("t5_piecewise_r", "x_min=1.5", "x_max must exceed x_min"),
-], ids=["unread_key", "empty_domain", "empty_domain_by_x_min"])
-def test_parser_reports_the_first_fault(preset, override, text):
-    with pytest.raises(ConfigError) as info:
-        preset_config(preset, [override])
     assert str(info.value) == text
 
 
