@@ -10,7 +10,8 @@ and a config states every EOS and initial-state key. It parses every key it
 is given (unknown keys and non-finite numbers are hard errors), then builds
 the EOS, the initial states, the regime policy the `regime` key names and the
 RunConfig from the keys the config sets. Every error, its own or a value
-type's, names the config line or override it comes from.
+type's, names the config line or override it comes from: for a rule that
+reads several keys, the one of them that the config sets last.
 """
 
 import math
@@ -20,13 +21,14 @@ from .eos import EosParams, _check_admissible
 from .errors import ConfigError, DemflowError, InvalidStateError, _require
 from .regime import (ConstantRegime, PiecewiseRegime, StochasticRegime,
                      UniformRandomRegime, check_breakpoints)
+from .relaxation import _RELAXERS
 from .state import SATURATION_TOL
 
 # volume-fraction floor for initial data; keeps nearly pure phases off the
 # boundary so relaxation and probability coefficients stay well defined
 EPS_VF = 1e-6
 
-RELAXATION_MODES = ("none", "continuous", "projection")
+RELAXATION_MODES = tuple(_RELAXERS)
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,7 @@ class RunConfig:
     """One experiment: domain, grid, end time, both phases' EOS and initial
     states, relaxation mode, regime policy and outputs. It checks its values
     where it is built; an error's `field` is the config key the failing rule
-    reads."""
+    checks, and its `reads` every config key the rule reads."""
 
     x_min: float
     x_max: float
@@ -61,37 +63,38 @@ class RunConfig:
     relaxation: str = "none"
     regime_policy: object = ConstantRegime(0.0)
     snapshot_times: tuple = ()
-    seed: int = 0
     output: str | None = None
 
     def __post_init__(self):
-        _require(self.x_max > self.x_min, ConfigError, "x_max", "x_max must exceed x_min")
+        _require(self.x_max > self.x_min, ConfigError, "x_max", "x_max must exceed x_min", "x_min")
         if isinstance(self.regime_policy, PiecewiseRegime):
             check_breakpoints(self.regime_policy, self.x_min, self.x_max)
         _require(self.n_cells >= 3, ConfigError, "n_cells", "n_cells must be at least 3")
         _require(self.t_end >= 0.0, ConfigError, "t_end", "t_end must be non-negative")
         _require(0.0 < self.cfl <= 1.0, ConfigError, "cfl", "cfl must lie in (0, 1]")
         _require(self.x_min < self.diaphragm < self.x_max, ConfigError, "diaphragm",
-                 "diaphragm must lie inside the domain")
+                 "diaphragm must lie inside the domain", "x_min", "x_max")
         for prefix, phase in (("left", 1), ("left", 2), ("right", 1), ("right", 2)):
             init, eos = getattr(self, f"{prefix}{phase}"), getattr(self, f"eos{phase}")
             key = f"{prefix}_alpha{phase}"
             _require(EPS_VF <= init.alpha <= 1.0 - EPS_VF, ConfigError, key,
                      f"{key} must lie in [{EPS_VF:g}, {1.0 - EPS_VF:g}]")
-            for q, rho, p in (("rho", init.rho, None), ("p", None, init.p)):
+            for q, rho, p, *others in (("rho", init.rho, None),
+                                       ("p", None, init.p, f"pi_inf{phase}")):
                 try:
                     _check_admissible(rho, p, eos)
                 except InvalidStateError as exc:
                     _require(False, ConfigError, f"{prefix}_{q}{phase}",
-                             f"{prefix} phase {phase} state inadmissible: {exc}")
+                             f"{prefix} phase {phase} state inadmissible: {exc}", *others)
         for prefix, a, b in (("left", self.left1, self.left2), ("right", self.right1, self.right2)):
             _require(abs(a.alpha + b.alpha - 1.0) <= SATURATION_TOL, ConfigError,
-                     f"{prefix}_alpha1", f"{prefix} volume fractions do not saturate")
+                     f"{prefix}_alpha1", f"{prefix} volume fractions do not saturate",
+                     f"{prefix}_alpha2")
         _require(self.relaxation in RELAXATION_MODES, ConfigError, "relaxation",
                  f"relaxation must be one of {RELAXATION_MODES}")
         for s in self.snapshot_times:
             _require(0.0 <= s <= self.t_end, ConfigError, "snapshots",
-                     f"snapshot time {s:g} outside [0, t_end]")
+                     f"snapshot time {s:g} outside [0, t_end]", "t_end")
 
 
 def _float_list(raw):
@@ -100,7 +103,7 @@ def _float_list(raw):
 
 # field -> key of each type the config builds: RunConfig's own keys, ...
 _RUN_KEYS = {f: f for f in ("x_min", "x_max", "n_cells", "t_end", "cfl", "diaphragm",
-                            "relaxation", "seed", "output")}
+                            "relaxation", "output")}
 _RUN_KEYS["snapshot_times"] = "snapshots"
 # ... the RunConfig fields built in turn: field -> (type, map, label of its errors)
 _PARTS = {
@@ -141,9 +144,10 @@ def _required(kind, keys):
 
 
 def _entries(sources):
-    """{key: (value, where)} from (where, text) pairs; `where` prefixes the
-    errors of its entry ("line 3", "override k=v"; None for none). '#' starts
-    a comment; later duplicates win."""
+    """{key: (value, where)} from (where, text) pairs, in the order of each
+    key's last entry; `where` prefixes the errors of its entry ("line 3",
+    "override k=v"; None for none). '#' starts a comment; later duplicates
+    win."""
     entries = {}
     for where, raw in sources:
         line = raw.split("#", 1)[0].strip()
@@ -157,6 +161,7 @@ def _entries(sources):
             raise ConfigError(f"unknown key {key!r}", where)
         if not value and _KINDS[key] is not str:
             raise ConfigError(f"empty value for {key!r}", where)
+        entries.pop(key, None)
         entries[key] = (value, where)
     return entries
 
@@ -199,11 +204,12 @@ def _build(entries) -> RunConfig:
         if name not in PRESETS:
             raise ConfigError(
                 f"unknown preset {name!r} (available: {', '.join(available_presets())})", where)
-        preset = {key: (raw, where) for key, raw in PRESETS[name].items()}
+        preset = {key: (raw, where) for key, raw in PRESETS[name].items() if key not in entries}
         entries = {**preset, **entries}
 
-    def origin(key):
-        return entries[key][1] if key in entries else None
+    def origin(*keys):
+        """The `where` of the last entry among keys (None for none)."""
+        return next((where for key, (_, where) in reversed(entries.items()) if key in keys), None)
 
     required = [*_required(RunConfig, _RUN_KEYS), *_PART_KEYS]
     missing = [key for key in required if key not in entries]
@@ -214,13 +220,14 @@ def _build(entries) -> RunConfig:
     def built(kind, keys, label=None, **given):
         """kind(**given) with each field of `keys` (field -> key) that the
         config sets; a check's error names the line or override of the key
-        its rule reads (an unmapped field is the key itself), then `label`."""
+        its rule reads that the config sets last (an unmapped field is the
+        key itself), then `label`."""
         given.update((field, values[key]) for field, key in keys.items() if key in values)
         try:
             return kind(**given)
         except DemflowError as exc:
             raise ConfigError(f"{label}: {exc}" if label else str(exc),
-                              origin(keys.get(exc.field, exc.field))) from exc
+                              origin(*(keys.get(f, f) for f in exc.reads))) from exc
 
     regime = values.get("regime", "constant")
     if regime not in _REGIMES:

@@ -32,9 +32,10 @@ def _prefixed(label):
         raise InvalidStateError(f"{label}: {exc}") from None
 
 
-def _require(ok, kind, field, message):
-    """Unless ok, raise kind(message) whose `field` names the failing field."""
+def _require(ok, kind, field, message, *others):
+    """Unless ok, raise kind(message) whose `field` names the failing field
+    and whose `reads` names every field the rule reads: field, then others."""
     if not ok:
         exc = kind(message)
-        exc.field = field
+        exc.field, exc.reads = field, (field, *others)
         raise exc

@@ -40,7 +40,7 @@ class PiecewiseRegime:
 
     def __post_init__(self):
         _require(len(self.breakpoints) + 1 == len(self.values), ConfigError, "values",
-                 "piecewise regime needs len(values) == len(breakpoints) + 1")
+                 "piecewise regime needs len(values) == len(breakpoints) + 1", "breakpoints")
         _require(all(a < b for a, b in zip(self.breakpoints, self.breakpoints[1:])), ConfigError,
                  "breakpoints", "piecewise regime breakpoints must be strictly increasing")
         for v in self.values:
@@ -103,9 +103,10 @@ class RegimeField:
 def check_breakpoints(policy: PiecewiseRegime, x_min, x_max):
     """The piecewise rule that needs the domain: every breakpoint lies strictly
     inside (x_min, x_max). RunConfig applies it, and init_field for a grid
-    built without one; its error's field is the config key."""
+    built without one; its error's fields are config keys."""
     _require(all(x_min < b < x_max for b in policy.breakpoints), ConfigError,
-             "regime_breakpoints", "piecewise regime breakpoints outside the domain")
+             "regime_breakpoints", "piecewise regime breakpoints outside the domain",
+             "x_min", "x_max")
 
 
 def init_field(policy, grid) -> RegimeField:

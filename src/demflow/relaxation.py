@@ -10,8 +10,9 @@ update accurate to second order in the pre-relaxation disequilibrium.
 All operations accept cells holding scalars or arrays (whole grids at once).
 Both phases are computed together: the relaxers read the stacked fractions
 and primitives (2, ...) of phase_primitives' one recovery with the EOS
-columns, and maxwellian writes both phases' rows into one new (8, ...) array
-that the relaxed cells object views.
+columns, make the stacked equilibrium fractions and densities (2, ...), and
+maxwellian writes both phases' rows into one new (8, ...) array that the
+relaxed cells object views.
 """
 
 from dataclasses import dataclass
@@ -25,15 +26,14 @@ from .state import MixtureCell, Primitive, _cells, _phases, prim_to_cons
 
 @dataclass(frozen=True)
 class ReducedEquilibrium:
-    """Reduced variable vector on the equilibrium variety: per-phase volume
-    fraction and density, one shared velocity and pressure."""
+    """Reduced variable vector on the equilibrium variety: both phases'
+    volume fractions `alpha` and densities `rho` as rows (2, ...), phase 1
+    first, and one shared velocity and pressure."""
 
-    alpha1: float | np.ndarray
-    rho1: float | np.ndarray
+    alpha: np.ndarray
+    rho: np.ndarray
     u: float | np.ndarray
     p: float | np.ndarray
-    alpha2: float | np.ndarray
-    rho2: float | np.ndarray
 
 
 def maxwellian(red: ReducedEquilibrium, eos1: EosParams, eos2: EosParams) -> MixtureCell:
@@ -42,10 +42,11 @@ def maxwellian(red: ReducedEquilibrium, eos1: EosParams, eos2: EosParams) -> Mix
     cells object views. prim_to_cons checks both phases' density and pressure
     at once (errors name phase and cell); the fractions are left to the
     returned cells object's one check, phase_primitives."""
-    shape = np.broadcast_shapes(*(np.shape(x) for x in vars(red).values()))
+    shape = np.broadcast_shapes(np.shape(red.alpha)[1:], np.shape(red.rho)[1:],
+                                np.shape(red.u), np.shape(red.p))
     out = np.empty((8,) + shape)
     rows = out.reshape((2, 4) + shape)
-    rows[0, 0], rows[0, 1], rows[1, 0], rows[1, 1] = red.alpha1, red.rho1, red.alpha2, red.rho2
+    rows[:, 0], rows[:, 1] = red.alpha, red.rho
     cons = prim_to_cons(Primitive(rows[:, 1], red.u, red.p), eos_columns(eos1, eos2, len(shape)))
     rows[:, 2], rows[:, 3] = cons.momentum, cons.energy
     return _cells(out)
@@ -128,9 +129,7 @@ def _continuous_equilibrium(cell, eos1, eos2) -> ReducedEquilibrium:
     q = -0.5 * (qb + np.where(qb < 0.0, -1.0, 1.0) * np.sqrt(disc))
     P = np.where(qb < 0.0, q / qa, qc / q)
     r = v.rho * g * (P + pi) / ((g - 1.0) * (E + P))
-    a = m / r
-
-    return ReducedEquilibrium(alpha1=a[0], rho1=r[0], u=u_star, p=P - s, alpha2=a[1], rho2=r[1])
+    return ReducedEquilibrium(alpha=m / r, rho=r, u=u_star, p=P - s)
 
 
 def relax_projection(cell: MixtureCell, eos1: EosParams, eos2: EosParams) -> MixtureCell:
@@ -150,17 +149,16 @@ def _projected_equilibrium(cell, eos1, eos2) -> ReducedEquilibrium:
     if np.any(bad):
         raise InvalidStateError("degenerate acoustic impedances "
                                 f"(d = {d.flat[_first_bad_index(bad)]:.9g}){_at_cell(bad)}")
-    (a1, a2), (rho1, rho2), (u1, u2), (p1, p2) = alpha, v.rho, v.u, v.p
+    (a1, a2), (u1, u2), (p1, p2) = alpha, v.u, v.p
     dp = p1 - p2
     _check_validity_bound(a1, a2, dp, d)
-    return ReducedEquilibrium(
-        alpha1=a1 + a1 * a2 * dp / d,
-        rho1=rho1 - a2 * rho1 * dp / d,
-        u=(m[0] * u1 + m[1] * u2) / (m[0] + m[1]),
-        p=(w[1] * p1 + w[0] * p2) / d,
-        alpha2=a2 - a1 * a2 * dp / d,
-        rho2=rho2 + a1 * rho2 * dp / d,
-    )
+    # phase 1's shifts a1 + x and rho1 - y, made as a1 - (-x) and rho1 + (-y):
+    # x - y is x + (-y) bit for bit, so each phase's row takes one signed dp
+    signed = np.array([-dp, dp])
+    return ReducedEquilibrium(alpha=alpha - a1 * a2 * signed / d,
+                              rho=v.rho + alpha[::-1] * v.rho * signed / d,
+                              u=(m[0] * u1 + m[1] * u2) / (m[0] + m[1]),
+                              p=(w[1] * p1 + w[0] * p2) / d)
 
 
 def _check_validity_bound(a1, a2, dp, d):
@@ -176,3 +174,8 @@ def _check_validity_bound(a1, a2, dp, d):
                           (-x2, "a1 (p2 - p1) / d"), (x2, "a1 (p1 - p2) / d"))
         raise InvalidStateError(f"outside its validity bound{_at_cell(bad)}: "
                                 f"p1 - p2 = {dp.flat[i]:.9g} Pa, {name} = {ratio:.9g} >= 1")
+
+
+# relaxers by relaxation mode, in the order config.RELAXATION_MODES lists them;
+# scheme.run reads this table, so replacing an entry reaches every run
+_RELAXERS = {"none": None, "continuous": relax_continuous, "projection": relax_projection}

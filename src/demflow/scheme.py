@@ -23,14 +23,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .eos import sound_speed
+from .eos import eos_columns, sound_speed
 from .errors import DemflowError, SolverError, _prefixed
 from .probability import convex_quad
 from .regime import RegimeField, init_field, stochastic_update
-from .relaxation import relax_continuous, relax_projection
+from .relaxation import _RELAXERS
 from .riemann import RiemannFan, ThermoState, hllc, thermo_state
-from .state import (MixtureCell, PhaseCellState, Primitive, _cells, _phases, _rows, cell_rows,
-                    prim_to_cons, validate_mixture)
+from .state import MixtureCell, Primitive, _cells, _phases, _rows, prim_to_cons, validate_mixture
 
 # cells per block of the hyperbolic step: a block's temporaries, a few
 # hundred arrays of up to (3, block) floats (~200 KB each), stay near a
@@ -252,15 +251,14 @@ def hyperbolic_step(grid: Grid1D, regime: RegimeField, dt, eos1, eos2) -> Grid1D
 
 def initial_grid(config) -> Grid1D:
     """Build the two-state (left/right of diaphragm) grid of a run config."""
-    phases = []
-    for left, right, eos in ((config.left1, config.right1, config.eos1),
-                             (config.left2, config.right2, config.eos2)):
-        # two columns: the states left and right of the diaphragm
-        alpha, rho, u, p = np.array([astuple(left), astuple(right)]).T
-        phases.append(PhaseCellState(alpha, prim_to_cons(Primitive(rho, u, p), eos)))
+    # alpha, rho, u and p each (2, 2): phase 1 first, left of the diaphragm first
+    states = [[astuple(config.left1), astuple(config.right1)],
+              [astuple(config.left2), astuple(config.right2)]]
+    alpha, rho, u, p = np.array(states).transpose(2, 0, 1)
+    cons = prim_to_cons(Primitive(rho, u, p), eos_columns(config.eos1, config.eos2, 1))
+    sides = np.stack([alpha, cons.mass, cons.momentum, cons.energy], axis=1).reshape(8, 2)
     n = config.n_cells
     x = config.x_min + (np.arange(n) + 0.5) * ((config.x_max - config.x_min) / n)
-    sides = cell_rows(MixtureCell(*phases))
     return Grid1D(config.x_min, config.x_max,
                   np.where(x < config.diaphragm, sides[:, :1], sides[:, 1:]))
 
@@ -272,7 +270,6 @@ class Snapshot:
     regime_values: np.ndarray
 
 
-_RELAXERS = {"none": None, "continuous": relax_continuous, "projection": relax_projection}
 _MAX_STEPS = 10_000_000
 
 

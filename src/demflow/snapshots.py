@@ -39,11 +39,12 @@ def _fmt(v):
 
 
 def snapshot_meta(config: RunConfig, t: float) -> dict:
+    """A snapshot's header; `seed` is the policy's (0 for one that draws nothing)."""
     policy = config.regime_policy
     return {
         "t": _fmt(t),
         "n_cells": str(config.n_cells),
-        "seed": str(config.seed),
+        "seed": str(getattr(policy, "seed", 0)),
         "cfl": _fmt(config.cfl),
         "relaxation": config.relaxation,
         "regime": policy.describe(),

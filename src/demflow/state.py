@@ -155,14 +155,12 @@ def _check_fractions(alpha):
 class _Phases(NamedTuple):
     """A checked cells object, both phases stacked phase 1 first: its rows
     (2, 4, ...) (alpha, mass, momentum, energy), its primitives `v` with
-    fields (2, ...), the eos_columns that broadcast against them, the
-    per-phase pair (v1, v2) of row views that phase_primitives returns, and
-    the EosParams pair it was recovered for."""
+    fields (2, ...), the eos_columns that broadcast against them, and the
+    EosParams pair it was recovered for."""
 
     rows: np.ndarray
     v: Primitive
     eos: EosColumns
-    pair: tuple
     params: tuple
 
 
@@ -181,8 +179,7 @@ def _phases(cell: MixtureCell, eos1: EosParams, eos2: EosParams) -> _Phases:
         _check_fractions(rows[:, 0])
         eos = eos_columns(eos1, eos2, rows.ndim - 2)
         v = cons_to_prim(Conserved(rows[:, 1], rows[:, 2], rows[:, 3]), eos)
-        pair = tuple(map(Primitive, v.rho, v.u, v.p))
-        phases = cache[key] = _Phases(rows, v, eos, pair, (eos1, eos2))
+        phases = cache[key] = _Phases(rows, v, eos, (eos1, eos2))
     return phases
 
 
@@ -190,8 +187,9 @@ def phase_primitives(cell: MixtureCell, eos1: EosParams, eos2: EosParams):
     """Check both phases' volume-fraction ranges, then saturation, then
     recover both phases' primitives (v1, v2) in one cons_to_prim call, which
     checks them; errors name the first offending cell and phase. v1 and v2
-    view rows of the stacked arrays, kept on the object (see _phases)."""
-    return _phases(cell, eos1, eos2).pair
+    view rows of the stacked arrays kept on the object (see _phases)."""
+    v = _phases(cell, eos1, eos2).v
+    return tuple(map(Primitive, v.rho, v.u, v.p))
 
 
 def mixture_quantities(cell: MixtureCell, eos1: EosParams, eos2: EosParams):
@@ -203,9 +201,9 @@ def mixture_quantities(cell: MixtureCell, eos1: EosParams, eos2: EosParams):
     return rho_mix, u_mix, a1 * v1.p + a2 * v2.p
 
 
-def validate_mixture(cell: MixtureCell, eos1: EosParams, eos2: EosParams, context=""):
-    """phase_primitives(cell, eos1, eos2), its errors suffixed ` (context)`."""
+def validate_mixture(cell: MixtureCell, eos1: EosParams, eos2: EosParams, context="") -> None:
+    """phase_primitives' check (see _phases), its errors suffixed ` (context)`."""
     try:
-        return phase_primitives(cell, eos1, eos2)
+        _phases(cell, eos1, eos2)
     except InvalidStateError as exc:
         raise InvalidStateError(f"{exc} ({context})" if context else str(exc)) from None

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from demflow import scheme, snapshots
+from demflow import relaxation, scheme, snapshots
 from demflow.cli import main
 from demflow.config import (EPS_VF, RELAXATION_MODES, PhaseSideInit, available_presets,
                             parse_config, preset_config)
@@ -53,7 +53,6 @@ def test_parse_minimal_config_defaults():
     assert cfg.diaphragm == 0.0
     assert cfg.relaxation == "none"
     assert cfg.regime_policy == ConstantRegime(0.0)
-    assert cfg.seed == 0
     assert cfg.output is None
 
 
@@ -160,17 +159,39 @@ def _without(text, *keys):
     # two faults reported otherwise than the parser once did: every key given
     # is parsed, whether the chosen regime reads it or not (regime_epsilon=abc
     # once passed a constant regime), and an empty domain is named before the
-    # breakpoints that cannot lie in it (its rule's key is x_max, so an x_min
-    # fault names no override, as on every preset)
+    # breakpoints that cannot lie in it, naming whichever of x_min and x_max
+    # the config sets
     (("t1_uniform_vf", ["regime_epsilon=abc"]),
      "override regime_epsilon=abc: cannot parse regime_epsilon='abc'"),
     (("t5_piecewise_r", ["x_max=-2"]), "override x_max=-2: x_max must exceed x_min"),
-    (("t5_piecewise_r", ["x_min=1.5"]), "x_max must exceed x_min"),
+    (("t5_piecewise_r", ["x_min=1.5"]), "override x_min=1.5: x_max must exceed x_min"),
+    # a rule that reads several keys names the line or override of the one
+    # the config sets, the later one if it sets several; each of these once
+    # named the key the rule checks (diaphragm, left_alpha1, ...), set by the
+    # preset or on an earlier line
+    (("t5_piecewise_r", ["x_min=0.9", "diaphragm=0.95"]),
+     "override x_min=0.9: piecewise regime breakpoints outside the domain"),
+    (("t1_uniform_vf", ["x_min=0.5"]), "override x_min=0.5: diaphragm must lie inside the domain"),
+    (("t1_uniform_vf", ["left_alpha2=0.6"]),
+     "override left_alpha2=0.6: left volume fractions do not saturate"),
+    (("t1_uniform_vf", ["snapshots=5e-5", "t_end=1e-5"]),
+     "override t_end=1e-5: snapshot time 5e-05 outside [0, t_end]"),
+    (("t5_piecewise_r", ["regime_breakpoints=0.1"]), "override regime_breakpoints=0.1: "
+     "piecewise regime needs len(values) == len(breakpoints) + 1"),
+    (("t1_uniform_vf", ["right_p2=-1e8", "pi_inf2=1e7"]),
+     "override pi_inf2=1e7: right phase 2 state inadmissible: pressure below stiffened-gas "
+     "admissibility limit (p + pi_inf <= 0) or non-finite pressure"),
+    (MINIMAL + "x_min = 2\n", "line 27: x_max must exceed x_min"),
+    (MINIMAL + "x_max = -2\nx_min = 2\n", "line 28: x_max must exceed x_min"),
+    ("preset = t1_uniform_vf\nx_min = 2\n", "line 2: x_max must exceed x_min"),
 ], ids=["no_equals", "empty_line", "empty_override", "unknown_key", "missing", "unknown_preset",
         "unparsable", "unparsable_list", "non_finite", "regime", "piecewise_needs",
         "piecewise_needs_values", "stochastic_needs", "eos", "constant", "stochastic",
         "breakpoints", "run_config", "missing_pi_inf", "unread_key", "empty_domain",
-        "empty_domain_by_x_min"])
+        "empty_domain_by_x_min", "breakpoints_by_x_min", "diaphragm_by_x_min",
+        "saturation_by_alpha2", "snapshots_by_t_end", "piecewise_values_by_breakpoints",
+        "pressure_by_pi_inf", "empty_domain_on_a_line", "empty_domain_on_the_later_line",
+        "empty_domain_after_a_preset_line"])
 def test_parser_error_texts(source, text):
     with pytest.raises(ConfigError) as info:
         parse_config(source) if isinstance(source, str) else preset_config(*source)
@@ -187,8 +208,11 @@ def test_replaced_domain_must_hold_the_breakpoints():
 
 
 def test_every_relaxation_mode_has_a_relaxer():
-    # run looks the relaxer up by mode, so a checked config cannot miss it
-    assert tuple(scheme._RELAXERS) == RELAXATION_MODES
+    # run looks the relaxer up by mode in the one table the modes are read
+    # from, so a checked config cannot miss it, and an entry replaced in
+    # scheme's name for the table reaches every run
+    assert scheme._RELAXERS is relaxation._RELAXERS
+    assert RELAXATION_MODES == tuple(relaxation._RELAXERS) == ("none", "continuous", "projection")
 
 
 def test_config_rejects_non_finite_numbers_naming_the_line():
@@ -287,7 +311,6 @@ def test_preset_overrides_apply():
     cfg = preset_config("t1_uniform_vf", ["n_cells=250", "regime_r=1", "seed=9"])
     assert cfg.n_cells == 250
     assert cfg.regime_policy == ConstantRegime(1.0)
-    assert cfg.seed == 9
 
 
 def test_config_file_with_preset_expansion():
@@ -562,7 +585,18 @@ def test_config_negative_seed_names_its_line():
     with pytest.raises(ConfigError, match=r"^line 2: regime seed must be non-negative"):
         parse_config("preset = t6_dense_dilute\nseed = -2\n")
     # a constant regime never reads its seed
-    assert parse_config("preset = t1_uniform_vf\nseed = -2\n").seed == -2
+    assert parse_config("preset = t1_uniform_vf\nseed = -2\n").regime_policy == ConstantRegime()
+
+
+def test_snapshot_header_seed_is_the_seed_the_run_draws_with():
+    # the header's seed once came from a config field that the run never
+    # read: a policy seeded 7 was written as seed=0, and a constant regime
+    # given seed=7 as seed=7
+    t6 = replace(preset_config("t6_dense_dilute"), regime_policy=StochasticRegime(1e-3, seed=7))
+    meta = snapshot_meta(t6, 0.0)
+    assert meta["seed"] == "7" and meta["regime"].endswith(":seed=7")
+    # a regime that draws nothing has seed 0
+    assert snapshot_meta(preset_config("t1_uniform_vf", ["seed=7"]), 0.0)["seed"] == "0"
 
 
 def test_cli_sweep_r(tmp_path):

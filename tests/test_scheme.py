@@ -901,7 +901,7 @@ def demflow_calls(cfg):
 # eos_columns' cache. Without comprehension frames, the counts hold on
 # CPython 3.11, which CI runs, and on 3.12 and later alike
 @pytest.mark.parametrize("relaxation, per_step", [
-    ("none", 52), ("continuous", 86), ("projection", 88),
+    ("none", 51), ("continuous", 77), ("projection", 79),
 ])
 def test_step_makes_a_pinned_number_of_python_calls(relaxation, per_step):
     cfg = preset_config("t1_uniform_vf", ["n_cells=100", "regime_r=0.3",

@@ -210,9 +210,9 @@ def test_maxwellian_names_phase_1_pressure_before_phase_2_density():
     # pi_inf = 0) and above phase 2's (the liquid's 6e8); phase 2's density
     # fails at a lower cell
     def red(p):
-        return ReducedEquilibrium(alpha1=np.full(4, 0.5), rho1=np.full(4, 50.0),
-                                  u=np.zeros(4), p=p, alpha2=np.full(4, 0.5),
-                                  rho2=np.array([1000.0, -1.0, 1000.0, 1000.0]))
+        return ReducedEquilibrium(alpha=np.full((2, 4), 0.5),
+                                  rho=np.array([[50.0] * 4, [1000.0, -1.0, 1000.0, 1000.0]]),
+                                  u=np.zeros(4), p=p)
     with pytest.raises(InvalidStateError) as info:
         maxwellian(red(np.array([1e5, 1e5, -1e5, 1e5])), GAS, LIQUID)
     assert str(info.value) == f"phase 1: {_PRESSURE} at cell 2"
